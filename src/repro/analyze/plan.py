@@ -13,8 +13,9 @@ This module builds the **static message graph** two independent ways:
   geometry (:mod:`repro.core.halo` / :mod:`repro.core.partition`),
   placement, the declarative :class:`~repro.topology.node.NodeTopology`
   and the paper's method-selection order
-  (:func:`repro.core.methods.select_method` over lightweight stand-in
-  objects — never a live :class:`~repro.cuda.device.Device`);
+  (:func:`repro.core.methods.select_method` over
+  :class:`~repro.core.methods.PairFacts` computed from placement and
+  topology integers — never a live :class:`~repro.cuda.device.Device`);
 * :func:`graph_from_plan` — from a realized
   :class:`~repro.core.exchange.ExchangePlan`'s channels and
   consolidation groups.
@@ -28,9 +29,10 @@ and then checks either graph (:func:`analyze_graph`) for:
   spaces stay disjoint;
 * **sizes** — buffer sizes equal halo extents × quantities × dtype, and
   neighboring subdomains agree on the shared face;
-* **legality** — the selected method is enabled and physically possible
-  (no peer/IPC path across nodes, no colocated path within a rank, no
-  CUDA-aware traffic on a non-CUDA-aware world);
+* **legality** — the selected method is enabled and applies to its pair,
+  by the same per-method predicate selection uses (no peer/IPC path
+  across nodes, no colocated path within a rank, no CUDA-aware traffic on
+  a non-CUDA-aware world);
 * **deadlock freedom** — every receive is posted in a round phase no
   later than its send, and matching is a bijection; with nonblocking
   posting plus the polling loop, that makes the round deadlock-free by
@@ -58,7 +60,7 @@ from ..core.capabilities import Capabilities
 from ..core.channels import SETUP_TAG_BASE, channel_tag
 from ..core.consolidation import GROUP_TAG_BASE, group_tag
 from ..core.halo import Region, exchange_directions, recv_region, send_region
-from ..core.methods import ExchangeMethod, select_method
+from ..core.methods import ExchangeMethod, PairFacts, select_method
 from ..core.partition import HierarchicalPartition
 from ..core.placement import Placement
 from ..topology.node import NodeTopology
@@ -68,9 +70,6 @@ from ..topology.node import NodeTopology
 PHASE_POST_RECV = 0
 PHASE_ENQUEUE_SRC = 1
 PHASE_GROUP_SEND = 2
-
-#: methods whose per-round transfer rides an MPI message
-MPI_METHODS = (ExchangeMethod.CUDA_AWARE_MPI, ExchangeMethod.STAGED)
 
 
 class AnalysisReport(FindingsReport):
@@ -97,7 +96,16 @@ class MessageEdge:
     send_region: Region                #: in the source's local array
     recv_region: Region                #: in the destination's local array
     tag: Optional[int]                 #: MPI tag (None for non-MPI methods)
-    peer_ok: bool                      #: topology allows peer access src↔dst
+    peer_fwd: bool                     #: src GPU can access dst GPU
+    peer_back: bool                    #: dst GPU can access src GPU
+
+    @property
+    def facts(self) -> PairFacts:
+        """The pair facts method applicability is decided on."""
+        return PairFacts(self.src_sub == self.dst_sub,
+                         self.src_rank == self.dst_rank,
+                         self.src_node == self.dst_node,
+                         self.peer_fwd, self.peer_back)
 
     @property
     def scope(self) -> str:
@@ -226,55 +234,6 @@ class MessageGraph:
         }
 
 
-# -- stand-in hardware objects (identity-compared, never simulated) -----------------
-
-class _StaticNode:
-    __slots__ = ("index", "topology")
-
-    def __init__(self, index: int, topology: NodeTopology) -> None:
-        self.index = index
-        self.topology = topology
-
-
-class _StaticDevice:
-    """Just enough of :class:`repro.cuda.Device` for method selection."""
-
-    __slots__ = ("node", "local_index", "global_index")
-
-    def __init__(self, node: _StaticNode, local_index: int) -> None:
-        self.node = node
-        self.local_index = local_index
-        self.global_index = node.index * node.topology.n_gpus + local_index
-
-    def can_access_peer(self, other: "_StaticDevice") -> bool:
-        if other is self:
-            return True
-        if self.node is not other.node:
-            return False
-        return self.node.topology.peer_accessible(self.local_index,
-                                                  other.local_index)
-
-
-class _StaticRank:
-    __slots__ = ("index", "node")
-
-    def __init__(self, index: int, node: _StaticNode) -> None:
-        self.index = index
-        self.node = node
-
-
-class _StaticSub:
-    __slots__ = ("linear_id", "extent", "global_idx", "device", "rank")
-
-    def __init__(self, linear_id: int, extent: Dim3, global_idx: Dim3,
-                 device: _StaticDevice, rank: _StaticRank) -> None:
-        self.linear_id = linear_id
-        self.extent = extent
-        self.global_idx = global_idx
-        self.device = device
-        self.rank = rank
-
-
 def _consolidate(edges: List[MessageEdge], messages: List[MpiMessage],
                  world_size: int) -> Tuple[List[MpiMessage], int]:
     """Replay §VI consolidation over the static graph's STAGED messages.
@@ -315,10 +274,9 @@ def _edges_to_messages(edges: List[MessageEdge], world_size: int,
                        ) -> Tuple[List[MpiMessage], int]:
     messages: List[MpiMessage] = []
     for i, e in enumerate(edges):
-        if e.method not in MPI_METHODS:
+        payload = e.method.spec.payload
+        if payload is None:
             continue
-        payload = ("device" if e.method is ExchangeMethod.CUDA_AWARE_MPI
-                   else "host")
         messages.append(MpiMessage(
             src_rank=e.src_rank, dst_rank=e.dst_rank, tag=e.tag,
             nbytes=e.nbytes, scope=e.scope, payload=payload, members=(i,)))
@@ -344,53 +302,51 @@ def static_message_graph(partition: HierarchicalPartition,
     first-applicable method selection per directed neighbor pair.
     """
     n_gpus = node_topology.n_gpus
-    nodes = [_StaticNode(i, node_topology) for i in range(partition.n_nodes)]
-    ranks = [_StaticRank(i, nodes[i // ranks_per_node])
-             for i in range(partition.n_nodes * ranks_per_node)]
-    devices = {(n.index, g): _StaticDevice(n, g)
-               for n in nodes for g in range(n_gpus)}
-
-    subs: Dict[int, _StaticSub] = {}
-    by_gidx: Dict[Tuple[int, int, int], _StaticSub] = {}
+    # linear id -> (partition spec, physical node, local GPU, rank)
+    where: Dict[int, tuple] = {}
+    linear_of: Dict[Tuple[int, int, int], int] = {}
     for node_idx in partition.node_dims.indices():
         placement = placements[node_idx.as_tuple()]
-        phys_node = partition.node_linear(node_idx)
+        node = partition.node_linear(node_idx)
         for i, spec in enumerate(partition.node_subdomains(node_idx)):
-            local_gpu = placement.gpu_of[i]
-            device = devices[(phys_node, local_gpu)]
-            rank = ranks[rank_index_for_gpu(phys_node, local_gpu,
-                                            ranks_per_node, n_gpus)]
+            gpu = placement.gpu_of[i]
             linear = partition.global_dims.linearize(spec.global_idx)
-            sub = _StaticSub(linear, spec.extent, spec.global_idx,
-                             device, rank)
-            subs[linear] = sub
-            by_gidx[spec.global_idx.as_tuple()] = sub
+            where[linear] = (spec, node, gpu, rank_index_for_gpu(
+                node, gpu, ranks_per_node, n_gpus))
+            linear_of[spec.global_idx.as_tuple()] = linear
 
     edges: List[MessageEdge] = []
     dirs = exchange_directions(radius)
-    for linear in sorted(subs):
-        src = subs[linear]
+    for s in sorted(where):
+        src, s_node, s_gpu, s_rank = where[s]
         for d in dirs:
             nbr = partition.neighbor_or_none(src.global_idx, d, periodic)
             if nbr is None:
                 continue
-            dst = by_gidx[nbr.as_tuple()]
-            method = select_method(src, dst, capabilities)
+            t = linear_of[nbr.as_tuple()]
+            dst, t_node, t_gpu, t_rank = where[t]
+            same_node = s_node == t_node
+            pair = PairFacts(
+                same_sub=s == t, same_rank=s_rank == t_rank,
+                same_node=same_node,
+                peer_fwd=same_node and node_topology.peer_accessible(
+                    s_gpu, t_gpu),
+                peer_back=same_node and node_topology.peer_accessible(
+                    t_gpu, s_gpu))
+            method = select_method(pair, capabilities)
             sreg = send_region(src.extent, radius, d)
             rreg = recv_region(dst.extent, radius, -d)
             edges.append(MessageEdge(
-                src_sub=src.linear_id, dst_sub=dst.linear_id,
-                direction=d.as_tuple(), method=method,
+                src_sub=s, dst_sub=t, direction=d.as_tuple(), method=method,
                 nbytes=sreg.volume * quantities * itemsize,
-                src_rank=src.rank.index, dst_rank=dst.rank.index,
-                src_gpu=src.device.global_index,
-                dst_gpu=dst.device.global_index,
-                src_node=src.device.node.index,
-                dst_node=dst.device.node.index,
+                src_rank=s_rank, dst_rank=t_rank,
+                src_gpu=s_node * n_gpus + s_gpu,
+                dst_gpu=t_node * n_gpus + t_gpu,
+                src_node=s_node, dst_node=t_node,
                 send_region=sreg, recv_region=rreg,
-                tag=(channel_tag(src.linear_id, d)
-                     if method in MPI_METHODS else None),
-                peer_ok=src.device.can_access_peer(dst.device)))
+                tag=(channel_tag(s, d) if method.spec.payload is not None
+                     else None),
+                peer_fwd=pair.peer_fwd, peer_back=pair.peer_back))
 
     graph = MessageGraph(
         global_dims=partition.global_dims, radius=radius,
@@ -428,20 +384,20 @@ def graph_from_plan(dd) -> MessageGraph:
             src_node=ch.src.device.node.index,
             dst_node=ch.dst.device.node.index,
             send_region=ch.send_reg, recv_region=ch.recv_reg,
-            tag=ch.tag if ch.method in MPI_METHODS else None,
-            peer_ok=ch.src.device.can_access_peer(ch.dst.device)))
+            tag=ch.tag if ch.spec.payload is not None else None,
+            peer_fwd=ch.src.device.can_access_peer(ch.dst.device),
+            peer_back=ch.dst.device.can_access_peer(ch.src.device)))
 
     messages: List[MpiMessage] = []
     for ch in plan.channels:
-        if ch.method not in MPI_METHODS or ch.group is not None:
+        if ch.spec.payload is None or ch.group is not None:
             continue
         i = edge_index[id(ch)]
         e = edges[i]
-        payload = ("device" if ch.method is ExchangeMethod.CUDA_AWARE_MPI
-                   else "host")
         messages.append(MpiMessage(
             src_rank=e.src_rank, dst_rank=e.dst_rank, tag=ch.tag,
-            nbytes=ch.nbytes, scope=e.scope, payload=payload, members=(i,)))
+            nbytes=ch.nbytes, scope=e.scope, payload=ch.spec.payload,
+            members=(i,)))
     for g in plan.groups:
         members = tuple(edge_index[id(ch)] for ch in g.members)
         messages.append(MpiMessage(
@@ -588,70 +544,26 @@ def check_sizes(graph: MessageGraph, report: AnalysisReport) -> None:
 
 
 def check_legality(graph: MessageGraph, report: AnalysisReport) -> None:
-    """Method selection legal for the topology and enabled capabilities."""
+    """Each edge's method is enabled and applies to its pair — by the same
+    per-method predicate :func:`~repro.core.methods.select_method` uses."""
     caps = graph.capabilities
     for e in graph.edges:
         subj = (f"sub{e.src_sub}>sub{e.dst_sub}", e.method.value)
-        cross_node = e.src_node != e.dst_node
-        same_rank = e.src_rank == e.dst_rank
-        m = e.method
-
-        enabled = {
-            ExchangeMethod.KERNEL: caps.kernel,
-            ExchangeMethod.DIRECT_ACCESS: caps.direct,
-            ExchangeMethod.PEER_MEMCPY: caps.peer,
-            ExchangeMethod.COLOCATED_MEMCPY: caps.colocated,
-            ExchangeMethod.CUDA_AWARE_MPI: caps.cuda_aware,
-            ExchangeMethod.STAGED: caps.staged,
-        }[m]
-        if not enabled:
+        spec = e.method.spec
+        if not caps.allows(spec.capability):
             report.add(_finding(
                 "disabled-capability",
-                f"transfer {e.src_sub}->{e.dst_sub} uses {m.value} but that "
-                f"capability is not enabled "
+                f"transfer {e.src_sub}->{e.dst_sub} uses {e.method.value} "
+                f"but that capability is not enabled "
                 f"(caps={caps.flags}, cuda_aware={caps.mpi_cuda_aware})",
                 subj))
-            continue
-
-        if m in (ExchangeMethod.KERNEL, ExchangeMethod.DIRECT_ACCESS,
-                 ExchangeMethod.PEER_MEMCPY, ExchangeMethod.COLOCATED_MEMCPY) \
-                and cross_node:
+        elif not spec.applies(e.facts):
+            where = (f" across nodes n{e.src_node}->n{e.dst_node}"
+                     if e.src_node != e.dst_node else "")
             report.add(_finding(
                 "illegal-method",
-                f"transfer {e.src_sub}->{e.dst_sub} uses {m.value} across "
-                f"nodes n{e.src_node}->n{e.dst_node}; peer/IPC paths do not "
-                f"cross nodes", subj))
-            continue
-        if m is ExchangeMethod.KERNEL and e.src_sub != e.dst_sub:
-            report.add(_finding(
-                "illegal-method",
-                f"KERNEL self-exchange selected for distinct subdomains "
-                f"{e.src_sub}->{e.dst_sub}", subj))
-        elif m in (ExchangeMethod.DIRECT_ACCESS, ExchangeMethod.PEER_MEMCPY):
-            if not same_rank:
-                report.add(_finding(
-                    "illegal-method",
-                    f"{m.value} requires one owning rank but "
-                    f"r{e.src_rank} != r{e.dst_rank} "
-                    f"({e.src_sub}->{e.dst_sub})", subj))
-            elif not e.peer_ok:
-                report.add(_finding(
-                    "illegal-method",
-                    f"{m.value} between gpu{e.src_gpu} and gpu{e.dst_gpu} "
-                    f"without peer access ({e.src_sub}->{e.dst_sub})", subj))
-        elif m is ExchangeMethod.COLOCATED_MEMCPY:
-            if same_rank:
-                report.add(_finding(
-                    "illegal-method",
-                    f"colocated (IPC) path within rank r{e.src_rank} "
-                    f"({e.src_sub}->{e.dst_sub}); IPC handles are for "
-                    f"*cross-process* buffers", subj))
-            elif not e.peer_ok:
-                report.add(_finding(
-                    "illegal-method",
-                    f"colocated copy between gpu{e.src_gpu} and "
-                    f"gpu{e.dst_gpu} without peer access "
-                    f"({e.src_sub}->{e.dst_sub})", subj))
+                f"transfer {e.src_sub}->{e.dst_sub} uses {e.method.value}, "
+                f"which does not apply{where} ({e.facts})", subj))
 
 
 def check_deadlock_free(graph: MessageGraph, report: AnalysisReport) -> None:

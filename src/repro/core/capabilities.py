@@ -60,14 +60,6 @@ LADDER = {
 }
 
 
-def ladder_name(caps: Capability) -> str:
-    """Best-matching ladder rung name for a capability set."""
-    for name, flags in reversed(list(LADDER.items())):
-        if caps & ~flags == Capability(0) and caps == flags:
-            return name
-    return str(caps)
-
-
 @dataclass(frozen=True, slots=True)
 class Capabilities:
     """Effective capabilities: the enabled ladder ∧ platform support.
@@ -80,26 +72,8 @@ class Capabilities:
     flags: Capability
     mpi_cuda_aware: bool
 
-    @property
-    def staged(self) -> bool:
-        return bool(self.flags & Capability.STAGED)
-
-    @property
-    def cuda_aware(self) -> bool:
-        return bool(self.flags & Capability.CUDA_AWARE) and self.mpi_cuda_aware
-
-    @property
-    def colocated(self) -> bool:
-        return bool(self.flags & Capability.COLOCATED)
-
-    @property
-    def peer(self) -> bool:
-        return bool(self.flags & Capability.PEER)
-
-    @property
-    def kernel(self) -> bool:
-        return bool(self.flags & Capability.KERNEL)
-
-    @property
-    def direct(self) -> bool:
-        return bool(self.flags & Capability.DIRECT)
+    def allows(self, flag: Capability) -> bool:
+        """Whether ``flag`` is enabled (CUDA_AWARE: and supported)."""
+        if flag is Capability.CUDA_AWARE and not self.mpi_cuda_aware:
+            return False
+        return bool(self.flags & flag)

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: tag space for consolidated rank-pair messages (above channel tags)
 GROUP_TAG_BASE = 1 << 22
-_GROUP_TAG_BASE = GROUP_TAG_BASE
 
 
 def group_tag(src_rank: int, dst_rank: int, world_size: int) -> int:

@@ -28,7 +28,7 @@ from ..sim.profile import CriticalPathReport, critical_path_report
 from ..sim.tasks import Dep
 from .channels import Channel, RoundOps
 from .halo import exchange_directions
-from .methods import ExchangeMethod, select_method
+from .methods import ExchangeMethod, LivePair, select_method
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .distributed import DistributedDomain, Subdomain
@@ -159,7 +159,7 @@ class ExchangePlan:
                 if nbr is None:
                     continue  # non-periodic boundary: nothing to exchange
                 dst = dd.subdomain_at(nbr)
-                method = select_method(src, dst, dd.capabilities)
+                method = select_method(LivePair(src, dst), dd.capabilities)
                 self.channels.append(Channel(dd, src, dst, d, method))
         self.groups = []
         self.messages_saved = 0
@@ -215,7 +215,6 @@ class ExchangePlan:
         layer.  Must be called at engine quiescence; returns the demotions
         as ``(tag, old_method, new_method)``.
         """
-        from .methods import select_method
         dd = self.dd
         faults = dd.cluster.faults
         demotions: List[Tuple[int, ExchangeMethod, ExchangeMethod]] = []
@@ -223,11 +222,11 @@ class ExchangePlan:
         for ch in self.channels:
             if ch.group is not None or ch.healthy():
                 continue  # grouped channels are STAGED (always healthy)
-            old = ch.method
-            new = ch.method
-            while not ch.method_healthy(new):
+            old = new = ch.method
+            pair = LivePair(ch.src, ch.dst)
+            while not new.spec.probe(ch):
                 ch.excluded.add(new)
-                new = select_method(ch.src, ch.dst, dd.capabilities,
+                new = select_method(pair, dd.capabilities,
                                     exclude=frozenset(ch.excluded))
             ch.demote(new)
             demotions.append((ch.tag, old, new))

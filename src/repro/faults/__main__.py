@@ -34,7 +34,6 @@ import numpy as np
 from ..bench.baselines import BASELINES, RUNGS
 from ..bench.config import parse_config
 from ..bench.harness import build_domain
-from ..core.methods import ExchangeMethod
 from ..core.verify import verify_halos
 from ..errors import ExchangeTimeoutError
 from .plan import FaultPlan
@@ -60,7 +59,7 @@ def _find_victim(dd) -> Optional[str]:
     for ch in dd.plan.channels:
         if ch.group is not None:
             continue
-        if ch.method in (ExchangeMethod.CUDA_AWARE_MPI, ExchangeMethod.STAGED):
+        if ch.spec.payload is not None:
             return f"s{ch.src.rank.index}>{ch.dst.rank.index}.t{ch.tag}"
     return None
 

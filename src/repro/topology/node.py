@@ -178,17 +178,6 @@ class NodeTopology:
             return True
         return (min(i, j), max(i, j)) in self._peer_access
 
-    def peer_matrix(self) -> Tuple[Tuple[bool, ...], ...]:
-        """The full pairwise ``peer_accessible`` matrix (symmetric).
-
-        Static-planning helper: lets :mod:`repro.analyze` reason about
-        method legality from the declarative topology alone, with no
-        :class:`repro.cuda.Device` objects instantiated.
-        """
-        n = self.n_gpus
-        return tuple(tuple(self.peer_accessible(i, j) for j in range(n))
-                     for i in range(n))
-
     def gpu_link_type(self, i: int, j: int) -> LinkType:
         """Dominant (slowest) link technology between two GPUs."""
         if i == j:

@@ -154,6 +154,19 @@ def test_illegal_method_cross_node_peer_detected():
                for f in report.findings if f.kind == "illegal-method")
 
 
+def test_illegal_method_direct_self_edge_detected():
+    # DIRECT_ACCESS loads a *neighbor's* interior; selection never picks it
+    # for a subdomain exchanging with itself.
+    from repro.core.methods import ExchangeMethod
+    g = static_graph("2n/1r/2g/128", "+direct")
+    self_edge = next(i for i, e in enumerate(g.edges)
+                     if e.src_sub == e.dst_sub
+                     and e.method is ExchangeMethod.KERNEL)
+    g.edges[self_edge] = dataclasses.replace(
+        g.edges[self_edge], method=ExchangeMethod.DIRECT_ACCESS)
+    assert "illegal-method" in kinds(analyze_graph(g))
+
+
 def test_disabled_capability_detected():
     from repro.core.methods import ExchangeMethod
     g = static_graph("2n/1r/2g/128", "+kernel")  # DIRECT not enabled

@@ -1,5 +1,7 @@
 """Tests for capability flags and method selection (§III-C)."""
 
+import itertools
+
 import pytest
 
 from repro.dim3 import Dim3
@@ -10,7 +12,8 @@ from repro.topology import summit_machine
 from repro.topology.presets import machine_of, pcie_node
 from repro.core.capabilities import LADDER, Capabilities, Capability
 from repro.core.distributed import DistributedDomain
-from repro.core.methods import ExchangeMethod, select_method
+from repro.core.methods import (METHODS, ExchangeMethod, LivePair, PairFacts,
+                                select_method)
 
 
 class TestCapabilityFlags:
@@ -26,15 +29,16 @@ class TestCapabilityFlags:
 
     def test_cuda_aware_needs_both(self):
         c = Capabilities(Capability.all(), mpi_cuda_aware=False)
-        assert not c.cuda_aware
+        assert not c.allows(Capability.CUDA_AWARE)
         c = Capabilities(Capability.all(), mpi_cuda_aware=True)
-        assert c.cuda_aware
+        assert c.allows(Capability.CUDA_AWARE)
         c = Capabilities(Capability.STAGED, mpi_cuda_aware=True)
-        assert not c.cuda_aware
+        assert not c.allows(Capability.CUDA_AWARE)
 
     def test_properties(self):
         c = Capabilities(Capability.plus_peer(), mpi_cuda_aware=False)
-        assert c.staged and c.colocated and c.peer and not c.kernel
+        assert c.allows(Capability.STAGED) and c.allows(Capability.COLOCATED)
+        assert c.allows(Capability.PEER) and not c.allows(Capability.KERNEL)
 
 
 def build_subdomains(machine_nodes=1, rpn=6, size=Dim3(24, 24, 24),
@@ -54,21 +58,21 @@ class TestSelection:
         dd = build_subdomains(rpn=1, size=Dim3(12, 12, 12))
         caps = Capabilities(Capability.all(), False)
         s = dd.subdomains[0]
-        assert select_method(s, s, caps) == ExchangeMethod.KERNEL
+        assert select_method(LivePair(s, s), caps) == ExchangeMethod.KERNEL
 
     def test_same_rank_peer(self):
         dd = build_subdomains(rpn=1)
         caps = Capabilities(Capability.all(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
         assert a.rank is b.rank
-        assert select_method(a, b, caps) == ExchangeMethod.PEER_MEMCPY
+        assert select_method(LivePair(a, b), caps) == ExchangeMethod.PEER_MEMCPY
 
     def test_cross_rank_same_node_colocated(self):
         dd = build_subdomains(rpn=6)
         caps = Capabilities(Capability.all(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
         assert a.rank is not b.rank
-        assert select_method(a, b, caps) == ExchangeMethod.COLOCATED_MEMCPY
+        assert select_method(LivePair(a, b), caps) == ExchangeMethod.COLOCATED_MEMCPY
 
     def test_cross_node_staged(self):
         dd = build_subdomains(machine_nodes=2, rpn=6, size=Dim3(24, 24, 24))
@@ -81,7 +85,7 @@ class TestSelection:
                     break
             if cross:
                 break
-        assert select_method(*cross, caps) == ExchangeMethod.STAGED
+        assert select_method(LivePair(*cross), caps) == ExchangeMethod.STAGED
 
     def test_cross_node_cuda_aware(self):
         dd = build_subdomains(machine_nodes=2, rpn=6, cuda_aware=True)
@@ -89,20 +93,20 @@ class TestSelection:
         a = dd.subdomains[0]
         b = next(s for s in dd.subdomains
                  if s.device.node is not a.device.node)
-        assert select_method(a, b, caps) == ExchangeMethod.CUDA_AWARE_MPI
+        assert select_method(LivePair(a, b), caps) == ExchangeMethod.CUDA_AWARE_MPI
 
     def test_remote_only_forces_mpi_on_node(self):
         """The '+remote' rung: even same-rank pairs go through MPI."""
         dd = build_subdomains(rpn=1)
         caps = Capabilities(Capability.remote_only(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
-        assert select_method(a, b, caps) == ExchangeMethod.STAGED
+        assert select_method(LivePair(a, b), caps) == ExchangeMethod.STAGED
 
     def test_kernel_disabled_self_exchange_falls_to_peer(self):
         dd = build_subdomains(rpn=1, size=Dim3(12, 12, 12))
         caps = Capabilities(Capability.plus_peer(), False)
         s = dd.subdomains[0]
-        assert select_method(s, s, caps) == ExchangeMethod.PEER_MEMCPY
+        assert select_method(LivePair(s, s), caps) == ExchangeMethod.PEER_MEMCPY
 
     def test_no_peer_access_falls_back_to_staged(self):
         """On the PCIe box nothing but MPI methods apply."""
@@ -110,11 +114,74 @@ class TestSelection:
         dd = build_subdomains(machine=m, rpn=4, size=Dim3(16, 16, 16))
         caps = Capabilities(Capability.all(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
-        assert select_method(a, b, caps) == ExchangeMethod.STAGED
+        assert select_method(LivePair(a, b), caps) == ExchangeMethod.STAGED
 
     def test_nothing_enabled_raises(self):
         dd = build_subdomains(rpn=1)
         caps = Capabilities(Capability.KERNEL, False)  # kernel only
         a, b = dd.subdomains[0], dd.subdomains[1]
         with pytest.raises(CapabilityError):
-            select_method(a, b, caps)
+            select_method(LivePair(a, b), caps)
+
+
+# -- the table against the ladder it replaced ------------------------------------
+
+def _reference_ladder(p, caps, exclude):
+    """The if/elif selection ladder the method table replaced, verbatim
+    except that it reads pair facts and raw capability flags."""
+    f = caps.flags
+    if p.same_sub and f & Capability.KERNEL \
+            and ExchangeMethod.KERNEL not in exclude:
+        return ExchangeMethod.KERNEL
+    if p.same_rank and not p.same_sub and f & Capability.DIRECT \
+            and ExchangeMethod.DIRECT_ACCESS not in exclude \
+            and p.peer_back:
+        return ExchangeMethod.DIRECT_ACCESS
+    if p.same_rank and f & Capability.PEER \
+            and ExchangeMethod.PEER_MEMCPY not in exclude \
+            and p.peer_fwd:
+        return ExchangeMethod.PEER_MEMCPY
+    if p.same_node and not p.same_rank and f & Capability.COLOCATED \
+            and ExchangeMethod.COLOCATED_MEMCPY not in exclude \
+            and p.peer_fwd:
+        return ExchangeMethod.COLOCATED_MEMCPY
+    if f & Capability.CUDA_AWARE and caps.mpi_cuda_aware \
+            and ExchangeMethod.CUDA_AWARE_MPI not in exclude:
+        return ExchangeMethod.CUDA_AWARE_MPI
+    if f & Capability.STAGED and ExchangeMethod.STAGED not in exclude:
+        return ExchangeMethod.STAGED
+    raise CapabilityError("no method")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapabilityError:
+        return CapabilityError
+
+
+class TestMethodTable:
+    def test_one_spec_per_method_in_selection_order(self):
+        assert [s.method for s in METHODS] == list(ExchangeMethod)
+
+    def test_table_matches_reference_ladder(self):
+        flags = list(Capability)
+        assert len(flags) == 6
+        excludes = [frozenset()] + [frozenset({m}) for m in ExchangeMethod]
+        checked = 0
+        for bits in itertools.product((False, True), repeat=5):
+            pair = PairFacts(*bits)
+            for mask in range(1 << len(flags)):
+                chosen = Capability(0)
+                for i, flag in enumerate(flags):
+                    if mask >> i & 1:
+                        chosen |= flag
+                for cuda_aware in (False, True):
+                    caps = Capabilities(chosen, cuda_aware)
+                    for exclude in excludes:
+                        want = _outcome(_reference_ladder, pair, caps,
+                                        exclude)
+                        got = _outcome(select_method, pair, caps, exclude)
+                        assert got == want, (pair, caps, exclude)
+                        checked += 1
+        assert checked == 32 * 64 * 2 * 7
