@@ -328,10 +328,11 @@ class ExchangePlan:
             # Every rank entered the exchange after the barrier, so its
             # join cannot finish before it — explicit for ranks with no
             # channel work, implicit (via CPU program order) otherwise.
+            # No lane: the join is bookkeeping and stays out of the trace.
             j = Task(dd.cluster.engine, name=f"xdone/r{rank.index}",
                      duration=0.0,
                      deps=(barrier_join, *rank_deps.get(rank.index, ())),
-                     lane=rank.lane, kind="sync", tracer=None)
+                     kind="sync")
             j.submit()
             # exchange() blocks: the rank's next CPU op waits for its join.
             rank.ctx.cpu_barrier_dep(j)

@@ -218,8 +218,7 @@ def _colocated_dst(ch: "Channel", ops: "RoundOps") -> None:
     cluster = ch.dd.cluster
     sync = Task(cluster.engine, name=f"ch{ch.tag}/ipc-sync",
                 duration=cluster.cost.ipc_event_sync_overhead,
-                deps=[ch.colo_copy], lane=ch.dst.device.lane, kind="sync",
-                tracer=cluster.tracer)
+                deps=[ch.colo_copy], lane=ch.dst.device.lane, kind="sync")
     sync.submit()
     ops.dst_terminals.append(ch.unpack_kernel(gate_deps=[sync]))
 

@@ -57,7 +57,7 @@ class CudaContext:
         return f"{self.lane}/{what}#{next(self._seq)}"
 
     def _task(self, **kw) -> Task:
-        t = Task(self.cluster.engine, tracer=self.cluster.tracer, **kw)
+        t = Task(self.cluster.engine, **kw)
         t.submit()
         return t
 
@@ -101,11 +101,6 @@ class CudaContext:
         join = self._task(name=self._label("cpu-wait"), duration=0.0,
                           deps=[d for d in (self._cpu_tail, dep) if d is not None])
         self._cpu_tail = join
-
-    @property
-    def cpu_tail(self) -> Optional[Task]:
-        """The most recent CPU-side task (for cross-context sequencing)."""
-        return self._cpu_tail
 
     # -- streams & events ----------------------------------------------------------
     def create_stream(self, device: Device) -> Stream:

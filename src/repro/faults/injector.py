@@ -30,7 +30,7 @@ fault layer at all.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..findings import Finding, FindingsReport
 from .plan import FaultPlan, FaultSpec, TRANSFER_KINDS
@@ -279,8 +279,7 @@ class FaultInjector:
                 return
             from ..sim.tasks import Task
             t = Task(eng, f"fault/stall-r{spec.rank}", spec.duration,
-                     resources=(rank.cpu,), lane=rank.lane, kind="fault",
-                     tracer=self.cluster.tracer)
+                     resources=(rank.cpu,), lane=rank.lane, kind="fault")
             t.submit()
             self.record_injection(
                 "rank_stall", f"r{spec.rank}",

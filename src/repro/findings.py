@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 #: stored findings are capped so a pathologically broken run/plan cannot
 #: exhaust memory; the per-kind counters keep counting past the cap.
@@ -99,9 +99,6 @@ class FindingsReport:
 
     def by_kind(self, kind: str) -> List[Finding]:
         return [f for f in self.findings if f.kind == kind]
-
-    def kind_counts(self) -> Dict[str, int]:
-        return dict(self.counts)
 
     def summary(self) -> str:
         """Multi-line text report, profiler-style."""

@@ -17,7 +17,8 @@ CLI) and every layer reports in::
   tracks per-rank queue depths;
 * the **exchange layer** histograms round latency and counts per-method
   traffic;
-* every **resource** records its busy intervals, from which
+* the bundle subscribes to the engine's observation stream and keeps
+  every **resource**'s closed busy episodes, from which
   :mod:`repro.metrics.timeline` derives per-link-class utilization
   timelines and an ASCII heatmap.
 
@@ -30,8 +31,9 @@ zero overhead, like ``--sanitize``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from ..sim.engine import Observer
 from .events import EventLog
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        bucket_index)
@@ -40,20 +42,32 @@ from .timeline import (LINK_CLASSES, class_timelines, heatmap_for_cluster,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Engine
+    from ..sim.resources import Resource
 
 #: bump when the METRICS_<config>.json layout changes incompatibly
 METRICS_SCHEMA = "repro-metrics/1"
 
 
-class Metrics:
-    """The per-cluster telemetry bundle: a registry plus an event log."""
+class Metrics(Observer):
+    """The per-cluster telemetry bundle: a registry plus an event log.
 
-    __slots__ = ("engine", "registry", "events")
+    Constructing it subscribes it to ``engine.observers``, where it
+    collects every resource's closed busy episodes into :attr:`busy`.
+    """
+
+    __slots__ = ("engine", "registry", "events", "busy")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.registry = MetricsRegistry()
         self.events = EventLog(engine)
+        #: closed busy episodes ``(start, end)`` per resource
+        self.busy: Dict["Resource", List[Tuple[float, float]]] = {}
+        engine.observers.append(self)
+
+    def resource_idle(self, resource: "Resource", start: float,
+                      end: float) -> None:
+        self.busy.setdefault(resource, []).append((start, end))
 
     # convenience pass-throughs so call sites read naturally
     def counter(self, name: str, **labels) -> Counter:
@@ -69,7 +83,10 @@ class Metrics:
         self.events.emit(event, **fields)
 
     def clear(self) -> None:
-        """Reset registry and event log (e.g. after warm-up rounds)."""
+        """Reset registry and event log (e.g. after warm-up rounds).
+
+        Busy episodes are kept: link timelines cover the whole run.
+        """
         self.registry.clear()
         self.events.clear()
 

@@ -1,8 +1,8 @@
 """Per-link utilization timelines from recorded busy intervals.
 
-When metrics are enabled, every :class:`~repro.sim.resources.Resource`
-records its busy episodes as ``(start, end)`` intervals (the engine-level
-``record_intervals`` switch).  This module turns those into the per-link
+When metrics are enabled, the :class:`~repro.metrics.Metrics` subscriber
+keeps every :class:`~repro.sim.resources.Resource`'s busy episodes as
+``(start, end)`` intervals.  This module turns those into the per-link
 views the paper's evaluation reasons in (NVLink vs X-Bus vs PCIe vs IB,
 Figs. 9-12):
 
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.analysis import (_iter_cluster_resources, classify_resource,
-                            world_resources)
+from ..sim.analysis import group_resources, world_resources
 from ..sim.resources import Resource
 from ..sim.trace import merge_intervals
 
@@ -30,27 +29,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 LINK_CLASSES: Tuple[str, ...] = ("nvlink", "xbus", "pcie", "nic")
 
 
-def busy_intervals(resource: Resource,
+def busy_intervals(cluster: "SimCluster", resource: Resource,
                    now: Optional[float] = None) -> List[Tuple[float, float]]:
-    """Closed busy episodes plus the currently-open one, if any."""
-    out = list(resource.intervals)
+    """Closed busy episodes the cluster's metrics subscriber kept, plus the
+    currently-open one, if any."""
+    m = cluster.metrics
+    out = list(m.busy.get(resource, ())) if m is not None else []
     if resource._last_busy_start is not None:
         out.append((resource._last_busy_start,
                     resource.engine.now if now is None else now))
     return out
-
-
-def _grouped_resources(cluster: "SimCluster",
-                       extra: Optional[Sequence[Resource]] = None,
-                       classes: Optional[Sequence[str]] = None
-                       ) -> Dict[str, List[Resource]]:
-    groups: Dict[str, List[Resource]] = {}
-    for r in _iter_cluster_resources(cluster) + list(extra or []):
-        cls = classify_resource(r.name)
-        if classes is not None and cls not in classes:
-            continue
-        groups.setdefault(cls, []).append(r)
-    return groups
 
 
 def link_utilization_summary(cluster: "SimCluster",
@@ -69,10 +57,10 @@ def link_utilization_summary(cluster: "SimCluster",
     if window is None:
         window = cluster.now
     out: Dict[str, dict] = {}
-    for cls, rs in sorted(_grouped_resources(cluster, extra, classes).items()):
+    for cls, rs in group_resources(cluster, extra, classes).items():
         ivals: List[Tuple[float, float]] = []
         for r in rs:
-            ivals.extend(busy_intervals(r, now=window))
+            ivals.extend(busy_intervals(cluster, r, now=window))
         merged = merge_intervals(ivals)
         union_busy = sum(b - a for a, b in merged)
         busy = sum(r.busy_time for r in rs)
@@ -101,10 +89,10 @@ def class_timelines(cluster: "SimCluster",
         return {}
     width = window / bins
     out: Dict[str, List[float]] = {}
-    for cls, rs in sorted(_grouped_resources(cluster, extra, classes).items()):
+    for cls, rs in group_resources(cluster, extra, classes).items():
         occ = [0.0] * bins
         for r in rs:
-            for a, b in busy_intervals(r, now=window):
+            for a, b in busy_intervals(cluster, r, now=window):
                 a, b = max(a, 0.0), min(b, window)
                 if b <= a:
                     continue

@@ -310,7 +310,7 @@ class Transport:
             duration = faults.scaled_duration(duration, resources)
         t = Task(self.world.cluster.engine, name=label, duration=duration,
                  resources=resources, deps=deps, action=action, lane=lane,
-                 kind="mpi", tracer=self.world.cluster.tracer, bytes=nbytes)
+                 kind="mpi", bytes=nbytes)
         t.submit()
         return t
 

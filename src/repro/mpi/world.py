@@ -24,7 +24,7 @@ from ..errors import ConfigurationError, MpiError
 from ..sim import Resource, Task
 from ..sim.tasks import Dep
 from ..cuda.device import Device
-from ..cuda.memory import DeviceBuffer, PinnedBuffer, make_array, nbytes_of
+from ..cuda.memory import DeviceBuffer, PinnedBuffer, make_array
 from ..cuda.runtime import CudaContext
 from .request import Request
 from .transport import Transport, _RecvEntry, _SendEntry, _payload_nbytes
@@ -71,15 +71,6 @@ class Rank:
         arr = make_array((nbytes,), "u1",
                          symbolic=not self.world.cluster.data_mode)
         return PinnedBuffer(self.node, nbytes, arr, label)
-
-    def alloc_pinned_array(self, shape, dtype, label: str = "") -> PinnedBuffer:
-        """Allocate a typed pinned host array on this rank's node."""
-        self._pin_count += 1
-        if not label:
-            label = f"{self.lane}/pin{self._pin_count}"
-        arr = make_array(tuple(shape), dtype,
-                         symbolic=not self.world.cluster.data_mode)
-        return PinnedBuffer(self.node, nbytes_of(tuple(shape), dtype), arr, label)
 
     # -- point-to-point ------------------------------------------------------------
     def isend(self, payload: Any, dest: int, tag: int,
@@ -214,10 +205,6 @@ class MpiWorld:
             device.node.index, device.local_index, self.ranks_per_node,
             self.cluster.machine.node.n_gpus)]
 
-    def rank_of_gpu(self, global_gpu: int) -> Rank:
-        """The rank owning the GPU with global id ``global_gpu``."""
-        return self.rank_of_device(self.cluster.device(global_gpu))
-
     # -- collectives --------------------------------------------------------------
     def barrier(self) -> Task:
         """``MPI_Barrier`` over all ranks.
@@ -232,7 +219,7 @@ class MpiWorld:
                   for r in self.ranks]
         join = Task(self.cluster.engine, name="barrier-join",
                     duration=cost.barrier_overhead, deps=issues,
-                    lane="world", kind="sync", tracer=self.cluster.tracer)
+                    lane="world", kind="sync")
         join.submit()
         for r in self.ranks:
             r.ctx.cpu_barrier_dep(join)

@@ -133,6 +133,8 @@ class SimCluster:
         self.data_mode = data_mode
         self.engine = Engine()
         self.tracer = tracer
+        if tracer is not None:
+            self.engine.observers.append(tracer)
         #: attached :class:`repro.sanitize.Sanitizer`, or None (the default)
         self.sanitizer = None
         #: attached :class:`repro.metrics.Metrics`, or None (the default)
@@ -165,7 +167,7 @@ class SimCluster:
 
         ``metrics=True`` attaches a :class:`repro.metrics.Metrics` bundle
         (counter/gauge/histogram registry plus a virtual-time event log)
-        and turns on per-resource busy-interval recording; the default
+        that also subscribes to every resource's busy episodes; the default
         (``None``) consults ``REPRO_METRICS``.  Disabled, the
         instrumentation costs one attribute check per call site.
 
@@ -199,7 +201,6 @@ class SimCluster:
         if metrics:
             from ..metrics import Metrics  # deferred: metrics imports sim
             cluster.metrics = Metrics(cluster.engine)
-            cluster.engine.record_intervals = True
         if precheck is None:
             precheck = os.environ.get("REPRO_PRECHECK", "") not in ("", "0")
         cluster.precheck = precheck

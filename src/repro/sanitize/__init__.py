@@ -15,7 +15,7 @@ CLI), run the workload, then ``cluster.finalize()`` to collect the report::
     assert report.ok, report.summary()
 """
 
-from .core import Sanitizer, maybe_annotate
+from .core import Sanitizer
 from .deadlock import explain_stuck
 from .hb import ClockTracker
 from .lifetime import LifetimeChecker
@@ -32,5 +32,4 @@ __all__ = [
     "MpiChecker",
     "LifetimeChecker",
     "explain_stuck",
-    "maybe_annotate",
 ]

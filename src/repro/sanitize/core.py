@@ -14,7 +14,7 @@ one :class:`~repro.sanitize.report.SanitizerReport`:
   buffer allocator.
 
 Attaching sets ``engine.retain_dag`` (clocks need dependency edges) and
-installs the sanitizer as the engine observer: every task start computes
+appends the sanitizer to the engine's observers: every task start computes
 its happens-before clock and checks its declared accesses; every run to
 quiescence is a global synchronization fence that resets the epoch, which
 bounds memory across arbitrarily many exchange rounds.
@@ -25,8 +25,9 @@ materialize end-of-job findings — unmatched messages and leaked requests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
+from ..sim.engine import Observer
 from ..sim.tasks import Task
 from .hb import ClockTracker
 from .lifetime import LifetimeChecker
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import SimCluster
 
 
-class Sanitizer:
+class Sanitizer(Observer):
     """Concurrency sanitizer for one simulated cluster (see module doc)."""
 
     def __init__(self, cluster: "SimCluster") -> None:
@@ -51,7 +52,7 @@ class Sanitizer:
         self._finalized = False
         # Clocks require dependency edges; the observer hooks task starts.
         cluster.engine.retain_dag = True
-        cluster.engine.observer = self
+        cluster.engine.observers.append(self)
 
     # -- engine observer protocol ----------------------------------------------
     def task_started(self, task: Task) -> None:
@@ -85,18 +86,3 @@ class Sanitizer:
     def ok(self) -> bool:
         return self.report.ok
 
-
-def maybe_annotate(cluster_or_none: Optional["SimCluster"], task: Task,
-                   reads: Iterable[AccessSpec] = (),
-                   writes: Iterable[AccessSpec] = ()) -> None:
-    """Annotate ``task`` when ``cluster_or_none`` carries a live sanitizer.
-
-    The hot-path helper the runtime layers call: free when sanitizing is
-    off (one attribute check), and keeps those layers import-free of this
-    package.
-    """
-    if cluster_or_none is None:
-        return
-    san = cluster_or_none.sanitizer
-    if san is not None:
-        san.races.annotate(task, reads, writes)

@@ -15,9 +15,15 @@ The model is deliberately simple and deterministic:
   requests so that independent work is never held up (work-conserving).
 * There is no randomness anywhere: a given task graph always produces the
   same virtual timeline.
+
+Observation is one stream: each :class:`~repro.sim.engine.Observer` in
+``engine.observers`` hears every task start and finish, every resource
+going idle and every run to quiescence.  The tracer, the metrics bundle
+and the sanitizer are its subscribers; with the list empty, observation
+costs nothing.
 """
 
-from .engine import Engine
+from .engine import Engine, Observer
 from .resources import Resource, AcquireRequest
 from .tasks import Task, Signal
 from .trace import Tracer, Span, merge_intervals
@@ -30,6 +36,7 @@ from .profile import (
 
 __all__ = [
     "Engine",
+    "Observer",
     "Resource",
     "AcquireRequest",
     "Task",

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .resources import Resource
 from .trace import Tracer
@@ -85,6 +85,20 @@ def _iter_cluster_resources(cluster: "SimCluster") -> List[Resource]:
     return out
 
 
+def group_resources(cluster: "SimCluster",
+                    extra: Optional[Sequence[Resource]] = None,
+                    classes: Optional[Sequence[str]] = None
+                    ) -> Dict[str, List[Resource]]:
+    """The cluster's resources (plus ``extra``) by resource class, in
+    sorted class order; ``classes`` keeps only the named classes."""
+    groups: Dict[str, List[Resource]] = {}
+    for r in _iter_cluster_resources(cluster) + list(extra or []):
+        cls = classify_resource(r.name)
+        if classes is None or cls in classes:
+            groups.setdefault(cls, []).append(r)
+    return {cls: groups[cls] for cls in sorted(groups)}
+
+
 def utilization_report(cluster: "SimCluster",
                        extra: Optional[List[Resource]] = None,
                        window: Optional[float] = None
@@ -98,12 +112,8 @@ def utilization_report(cluster: "SimCluster",
     """
     if window is None:
         window = cluster.now
-    groups: Dict[str, List[Resource]] = {}
-    for r in _iter_cluster_resources(cluster) + list(extra or []):
-        groups.setdefault(classify_resource(r.name), []).append(r)
     rows = []
-    for cls in sorted(groups):
-        rs = groups[cls]
+    for cls, rs in group_resources(cluster, extra).items():
         utils = [(r.utilization(window), r) for r in rs]
         busy = sum(r.busy_time for r in rs)
         mean_u = sum(u for u, _ in utils) / len(utils)
@@ -182,23 +192,21 @@ def _counter_events(cluster: "SimCluster",
     """Perfetto counter tracks (``"ph": "C"``) from recorded telemetry.
 
     Two families: per-resource-class *occupancy* step functions derived
-    from busy intervals (requires metrics-enabled runs, which record
-    intervals), and cumulative *bytes* series derived from the metrics
-    event log (MPI deliveries and memcpys by kind).
+    from busy intervals (requires metrics-enabled runs, whose metrics
+    subscriber keeps them), and cumulative *bytes* series derived from the
+    metrics event log (MPI deliveries and memcpys by kind).
     """
     from ..metrics.timeline import busy_intervals  # lazy: metrics uses sim
     events: List[dict] = [{"ph": "M", "name": "process_name", "pid": pid,
                            "tid": 0, "args": {"name": "counters"}}]
     # Occupancy per class: +1/-1 edges over all busy intervals.
-    edges: Dict[str, List[Tuple[float, int]]] = {}
-    for r in _iter_cluster_resources(cluster) + list(extra or []):
-        cls = classify_resource(r.name)
-        for a, b in busy_intervals(r, now=cluster.now):
-            edges.setdefault(cls, []).append((a, +1))
-            edges[cls].append((b, -1))
-    for cls in sorted(edges):
+    for cls, rs in group_resources(cluster, extra).items():
+        edges: List[Tuple[float, int]] = []
+        for r in rs:
+            for a, b in busy_intervals(cluster, r):
+                edges += [(a, +1), (b, -1)]
         level, last_t = 0, None
-        for t, d in sorted(edges[cls]):
+        for t, d in sorted(edges):
             if last_t is not None and t > last_t:
                 events.append({"ph": "C", "name": f"busy/{cls}", "pid": pid,
                                "ts": last_t * 1e6, "args": {"n": level}})

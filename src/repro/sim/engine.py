@@ -5,6 +5,10 @@ or tasks.  Higher layers schedule plain callbacks at absolute or relative
 virtual times.  Determinism is guaranteed by breaking timestamp ties with a
 monotonically increasing sequence number, so two events at the same instant
 always fire in scheduling order.
+
+The engine also carries the simulation's one observation stream: every
+:class:`Observer` in :attr:`Engine.observers` hears each task start and
+finish, each resource going idle, and each run to quiescence.
 """
 
 from __future__ import annotations
@@ -16,6 +20,30 @@ from typing import Callable, List, Optional, Tuple
 from ..errors import SimulationError
 
 Callback = Callable[[], None]
+
+
+class Observer:
+    """A subscriber to the engine's observation stream.
+
+    Append an instance to :attr:`Engine.observers`; every hook is a no-op
+    here, so a subscriber overrides only what it consumes.  The tracer,
+    the metrics bundle and the sanitizer are the built-in subscribers.
+    """
+
+    __slots__ = ()
+
+    def task_started(self, task) -> None:
+        """``task`` was granted its resources and starts running now."""
+
+    def task_finished(self, task) -> None:
+        """``task`` completed (its action ran; callbacks are next)."""
+
+    def resource_idle(self, resource, start: float, end: float) -> None:
+        """``resource`` closed a busy episode: some slot was held over
+        ``[start, end]`` and none is held now."""
+
+    def on_quiescence(self) -> None:
+        """A :meth:`Engine.run` call drained the event queue."""
 
 
 class Engine:
@@ -33,8 +61,7 @@ class Engine:
     """
 
     __slots__ = ("_now", "_heap", "_seq", "_running", "_events_processed",
-                 "_cancelled", "retain_dag", "max_events", "observer",
-                 "record_intervals")
+                 "_cancelled", "retain_dag", "max_events", "observers")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -52,14 +79,10 @@ class Engine:
         #: dispatching this many events (a buggy self-rescheduling callback
         #: fails with a diagnostic instead of hanging the process).
         self.max_events: Optional[int] = None
-        #: optional hook object (e.g. a sanitizer) notified of task starts
-        #: (``task_started(task)``) and of each run to quiescence
-        #: (``on_quiescence()``).
-        self.observer = None
-        #: when True, every Resource appends its busy episodes to
-        #: ``Resource.intervals`` — the raw material for the metrics
-        #: layer's per-link utilization timelines.  Off by default.
-        self.record_intervals: bool = False
+        #: subscribers notified of task starts/finishes, resources going
+        #: idle and runs to quiescence (see :class:`Observer`); empty by
+        #: default, which makes observation free.
+        self.observers: List[Observer] = []
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -161,11 +184,11 @@ class Engine:
             self._running = False
         if not self._heap:
             self._cancelled.clear()
-        if self.observer is not None and not self._heap:
             # True quiescence: every scheduled effect has been applied, and
             # the (single) driving thread is about to observe that fact — a
             # global synchronization fence for happens-before purposes.
-            self.observer.on_quiescence()
+            for o in self.observers:
+                o.on_quiescence()
         return self._now
 
     def step(self) -> bool:

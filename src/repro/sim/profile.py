@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .analysis import classify_resource
 from .tasks import Dep, Signal, Task
+from .trace import merge_intervals
 
 #: task ``kind`` → exchange phase used in breakdown reports.  ``kernel``
 #: covers the KERNEL / DIRECT_ACCESS self-exchange kernels, which move halo
@@ -131,18 +132,6 @@ def critical_path(terminal: Task, t_start: float = 0.0) -> List[PathSegment]:
     return segments
 
 
-def _merged_length(intervals: List[Tuple[float, float]]) -> float:
-    """Total length of the union of ``[a, b]`` intervals."""
-    total = 0.0
-    last_end = -float("inf")
-    for a, b in sorted(intervals):
-        if b <= last_end:
-            continue
-        total += b - max(a, last_end)
-        last_end = b
-    return total
-
-
 @dataclass(frozen=True)
 class CriticalPathReport:
     """Critical-path attribution for one measurement window."""
@@ -169,14 +158,10 @@ class CriticalPathReport:
         """Fraction of the window the walked chain accounts for."""
         if self.elapsed <= 0:
             return 1.0 if not self.segments else 0.0
-        ivs = [(max(s.eligible, self.t_start), min(s.end, self.t_end))
-               for s in self.segments]
-        ivs = [(a, b) for a, b in ivs if b > a]
-        return _merged_length(ivs) / self.elapsed
-
-    @property
-    def total_queue(self) -> float:
-        return self.phase_seconds.get("queue", 0.0)
+        merged = merge_intervals(
+            [(max(s.eligible, self.t_start), min(s.end, self.t_end))
+             for s in self.segments])
+        return sum(b - a for a, b in merged) / self.elapsed
 
     def summary(self) -> str:
         """Multi-line text report of the breakdown."""

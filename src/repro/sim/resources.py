@@ -52,7 +52,7 @@ class Resource:
 
     __slots__ = ("engine", "name", "capacity", "bandwidth", "bandwidth_scale",
                  "_in_use", "_waiters", "_id", "busy_time", "_last_busy_start",
-                 "wait_time", "wait_count", "intervals")
+                 "wait_time", "wait_count")
 
     def __init__(self, engine: Engine, name: str, capacity: int = 1,
                  bandwidth: Optional[float] = None) -> None:
@@ -77,15 +77,8 @@ class Resource:
         # while this resource had no free slot, and how many requests waited.
         self.wait_time = 0.0
         self.wait_count = 0
-        #: closed busy episodes as (start, end); populated only when the
-        #: engine's ``record_intervals`` switch is on (metrics layer)
-        self.intervals: List[Tuple[float, float]] = []
 
     # -- state ------------------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     @property
     def free_slots(self) -> int:
         return self.capacity - self._in_use
@@ -112,10 +105,11 @@ class Resource:
             raise SimulationError(f"over-released resource {self.name}")
         self._in_use -= 1
         if self._in_use == 0 and self._last_busy_start is not None:
-            self.busy_time += self.engine.now - self._last_busy_start
-            if self.engine.record_intervals:
-                self.intervals.append((self._last_busy_start, self.engine.now))
+            start, now = self._last_busy_start, self.engine.now
+            self.busy_time += now - start
             self._last_busy_start = None
+            for o in self.engine.observers:
+                o.resource_idle(self, start, now)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Resource({self.name!r}, {self._in_use}/{self.capacity})"
@@ -219,23 +213,17 @@ def _wake_waiters(engine: Engine, released: Iterable[Resource]) -> None:
     """After a release, grant every now-satisfiable waiter in arrival order.
 
     Scans only the waiter lists of the released resources; each candidate's
-    full resource set is re-checked so multi-resource atomicity holds.
+    full resource set is re-checked so multi-resource atomicity holds.  A
+    waiter leaves every list it is on the moment it is granted, so the
+    lists only ever hold pending requests.
     """
     candidates: Dict[int, AcquireRequest] = {}
     for r in released:
         for w in r._waiters:
-            if not w.granted:
-                candidates[w.seq] = w
+            candidates[w.seq] = w
     for seq in sorted(candidates):
         w = candidates[seq]
-        if not w.granted and w._grantable():
+        if w._grantable():
             w._grant(engine)
             for r in w.resources:
-                try:
-                    r._waiters.remove(w)
-                except ValueError:
-                    pass
-    # Periodically compact waiter lists of released resources.
-    for r in released:
-        if len(r._waiters) > 32:
-            r._waiters = [w for w in r._waiters if not w.granted]
+                r._waiters.remove(w)

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence, Union
 from ..errors import SimulationError
 from .engine import Engine
 from .resources import Resource, acquire
-from .trace import Tracer
 
 _task_ids = itertools.count()
 
@@ -86,18 +85,18 @@ class Task:
         data movement in data mode.
     lane / kind:
         Trace metadata: ``lane`` groups spans into a timeline row (e.g.
-        ``"gpu0"``), ``kind`` categorizes (``"pack"``, ``"d2h"``, ...).
-    tracer:
-        Optional :class:`Tracer` recording a span for this task.
+        ``"gpu0"``), ``kind`` categorizes (``"pack"``, ``"d2h"``, ...).  A
+        task without a lane is not traced.
     bytes:
         Payload size, recorded in the trace (0 for non-transfer ops).
 
     Lifecycle: constructed → ``submit()`` → waits on deps → acquires
     resources → runs → completes (action, callbacks, dependents notified).
+    The engine's observers hear the start and the completion.
     """
 
     __slots__ = ("engine", "name", "duration", "resources", "action",
-                 "lane", "kind", "bytes", "tracer", "_id", "_remaining_deps",
+                 "lane", "kind", "bytes", "_id", "_remaining_deps",
                  "_dependents", "_callbacks", "submitted", "started",
                  "completed", "start_time", "completion_time", "_request",
                  "_deps", "eligible_time")
@@ -107,7 +106,6 @@ class Task:
                  deps: Sequence[Dep] = (),
                  action: Optional[Callable[[], None]] = None,
                  lane: str = "", kind: str = "",
-                 tracer: Optional[Tracer] = None,
                  bytes: int = 0) -> None:
         if duration < 0:
             raise SimulationError(f"negative duration for task {name}")
@@ -119,7 +117,6 @@ class Task:
         self.lane = lane
         self.kind = kind
         self.bytes = bytes
-        self.tracer = tracer
         self._id = next(_task_ids)
         self._dependents: List[Task] = []
         self._callbacks: List[Callable[["Task"], None]] = []
@@ -207,9 +204,8 @@ class Task:
     def _start(self) -> None:
         self.started = True
         self.start_time = self.engine.now
-        observer = self.engine.observer
-        if observer is not None:
-            observer.task_started(self)
+        for o in self.engine.observers:
+            o.task_started(self)
         self.engine.schedule(self.duration, self._finish)
 
     def _finish(self) -> None:
@@ -219,11 +215,8 @@ class Task:
         self.completion_time = self.engine.now
         if self.action is not None:
             self.action()
-        if self.tracer is not None and self.lane:
-            start = 0.0 if self.start_time is None else self.start_time
-            self.tracer.record(self.lane, self.kind or "op", self.name,
-                               start, self.completion_time,
-                               self.bytes, queue_wait=self.queue_wait)
+        for o in self.engine.observers:
+            o.task_finished(self)
         for cb in self._callbacks:
             cb(self)
         self._callbacks = []

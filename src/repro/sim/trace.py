@@ -2,8 +2,9 @@
 
 The paper's Fig. 9 shows a timeline of overlapped exchange operations
 (pack kernels, peer copies, D2H/H2D staging, MPI sends) across GPUs and the
-owning rank's CPU.  :class:`Tracer` records one :class:`Span` per completed
-task; :func:`render_gantt` renders an ASCII Gantt chart of the same form,
+owning rank's CPU.  :class:`Tracer` subscribes to the engine's observation
+stream and records one :class:`Span` per completed task that has a lane;
+:func:`render_gantt` renders an ASCII Gantt chart of the same form,
 and :meth:`Tracer.to_rows` produces machine-readable rows for CSV output.
 """
 
@@ -12,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .engine import Observer
+
 
 def merge_intervals(intervals: Sequence[Tuple[float, float]]
                     ) -> List[Tuple[float, float]]:
     """Union of half-open time intervals: sorted, overlaps coalesced.
 
     Empty and inverted intervals are dropped.  Shared by the per-kind busy
-    accounting here and the per-link timelines in
-    :mod:`repro.metrics.timeline`.
+    accounting here, the critical-path coverage in :mod:`repro.sim.profile`
+    and the per-link timelines in :mod:`repro.metrics.timeline`.
     """
     ivals = sorted((a, b) for a, b in intervals if b > a)
     out: List[Tuple[float, float]] = []
@@ -49,19 +52,27 @@ class Span:
         return self.end - self.start
 
 
-class Tracer:
-    """Collects spans during a simulation run."""
+class Tracer(Observer):
+    """Collects spans during a simulation run.
+
+    Subscribe it with ``engine.observers.append(tracer)``; removing it from
+    the list stops recording.
+    """
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
-        self.enabled = True
+
+    def task_finished(self, task) -> None:
+        if task.lane:
+            self.record(task.lane, task.kind or "op", task.name,
+                        task.start_time, task.completion_time, task.bytes,
+                        queue_wait=task.queue_wait)
 
     def record(self, lane: str, kind: str, label: str,
                start: float, end: float, nbytes: int = 0,
                queue_wait: float = 0.0) -> None:
-        if self.enabled:
-            self.spans.append(Span(lane, kind, label, start, end, nbytes,
-                                   queue_wait))
+        self.spans.append(Span(lane, kind, label, start, end, nbytes,
+                               queue_wait))
 
     def clear(self) -> None:
         self.spans.clear()

@@ -18,7 +18,8 @@ from repro.bench import (
     bench_record,
     validate_bench_record,
 )
-from repro.bench.baselines import baseline_filename, run_baseline
+from repro.bench.baselines import (baseline_filename, run_baseline,
+                                   write_baselines)
 from repro.bench.compare import (
     compare_main,
     compare_records,
@@ -173,17 +174,19 @@ class TestCommittedBaselines:
             seen |= set(json.loads(path.read_text())["methods"])
         assert seen == {m.value for m in ExchangeMethod}
 
-    def test_regeneration_matches_committed(self):
-        # Determinism end to end: regenerating the smallest baseline
-        # reproduces the committed gated quantities exactly.
-        config, rung = BASELINES[0]
-        fresh = bench_record(run_baseline(config, rung))
-        committed = json.loads(
-            (BASELINE_DIR / baseline_filename(config)).read_text())
-        deltas = compare_records(committed, fresh)
-        assert regressions(deltas) == []
-        assert fresh["elapsed_s"] == committed["elapsed_s"]
-        assert fresh["metrics"] == committed["metrics"]
+    def test_regeneration_matches_committed(self, tmp_path, monkeypatch):
+        # Determinism end to end: regenerating every baseline reproduces
+        # the committed file byte for byte — timings, utilization, link
+        # timelines, critical path and metrics alike.  The committed
+        # records carry no sections from environment-enabled layers (a
+        # sanitizer or fault plan adds its own), so those stay off here.
+        for var in ("REPRO_SANITIZE", "REPRO_FAULTS", "REPRO_PRECHECK"):
+            monkeypatch.delenv(var, raising=False)
+        paths = write_baselines(tmp_path)
+        assert len(paths) == len(BASELINES)
+        for path in paths:
+            committed = BASELINE_DIR / path.name
+            assert path.read_bytes() == committed.read_bytes(), path.name
 
 
 class TestRungs:

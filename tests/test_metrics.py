@@ -1,10 +1,11 @@
 """Tests for the repro.metrics layer: registry, events, timelines.
 
 Covers the unit semantics (log2 buckets, label identity, kind collisions),
-the opt-in contract (no metrics object, no interval recording unless
-requested), cross-layer instrumentation coverage on a real exchange, and
-the determinism guarantee the bench regression gate stands on: two
-identical runs produce byte-identical snapshots and event logs.
+the opt-in contract (no metrics object, no observer subscribed, no busy
+episodes kept unless requested), cross-layer instrumentation coverage on a
+real exchange, and the determinism guarantee the bench regression gate
+stands on: two identical runs produce byte-identical snapshots and event
+logs.
 """
 
 import json
@@ -180,19 +181,32 @@ def _exchange_once(metrics=None, size=64, nodes=1, gpus=2):
 class TestOptIn:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_METRICS", raising=False)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         _, cluster = _exchange_once()
         assert cluster.metrics is None
-        assert cluster.engine.record_intervals is False
-        # Zero overhead: no busy intervals accumulate anywhere.
-        for node in cluster.nodes:
-            for res in node._link_res.values():
-                assert res.intervals == []
+        # Zero overhead: nothing subscribes to the observation stream.
+        assert cluster.engine.observers == []
 
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "1")
         _, cluster = _exchange_once()
         assert cluster.metrics is not None
-        assert cluster.engine.record_intervals is True
+        assert cluster.metrics in cluster.engine.observers
+        # The subscriber kept every closed busy episode: per resource they
+        # add up to the resource's own busy-time accounting.
+        busy = cluster.metrics.busy
+        assert any(r in busy for r in cluster.nodes[0]._link_res.values())
+        for res, episodes in busy.items():
+            assert all(a <= b for a, b in episodes)
+            assert sum(b - a for a, b in episodes) == \
+                pytest.approx(res.busy_time)
+
+    def test_clear_keeps_busy_episodes(self):
+        _, cluster = _exchange_once(metrics=True)
+        before = {r: list(e) for r, e in cluster.metrics.busy.items()}
+        cluster.metrics.clear()
+        assert cluster.metrics.snapshot() == {}
+        assert cluster.metrics.busy == before
 
     def test_env_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "0")

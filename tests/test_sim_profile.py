@@ -150,11 +150,12 @@ class TestReport:
 class TestTracerQueueWait:
     def test_span_records_queue_wait(self):
         eng, tr = Engine(), Tracer()
+        eng.observers.append(tr)
         r = Resource(eng, "n0/nic/out", capacity=1)
         Task(eng, name="x", duration=1.0, resources=[r], lane="g",
-             kind="mpi", tracer=tr).submit()
+             kind="mpi").submit()
         Task(eng, name="y", duration=1.0, resources=[r], lane="g",
-             kind="mpi", tracer=tr).submit()
+             kind="mpi").submit()
         eng.run()
         waits = {s.label: s.queue_wait for s in tr.spans}
         assert waits["x"] == 0.0

@@ -1,5 +1,7 @@
 """Tests for resource contention and atomic multi-resource acquisition."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -155,3 +157,38 @@ class TestScale:
         eng.run()
         order = [n for (n, k, _) in log if k == "start"]
         assert order == list(range(200))
+
+
+class TestWaiterLists:
+    def test_waiter_lists_hold_only_pending_requests(self):
+        # A waiter leaves every resource list the moment it is granted, so
+        # no list ever holds a granted request — the invariant that lets
+        # _wake_waiters skip re-checking and compacting its lists.
+        eng = Engine()
+        rs = [Resource(eng, f"r{i}", capacity=1 + i % 2) for i in range(4)]
+        rng = random.Random(7)
+        reqs = []
+        longest = 0
+
+        def check():
+            nonlocal longest
+            for r in rs:
+                assert not any(w.granted for w in r._waiters), r.name
+                longest = max(longest, len(r._waiters))
+
+        def holder(i, duration):
+            def finish():
+                reqs[i].release()
+                check()
+            return lambda: eng.schedule(duration, finish)
+
+        for i in range(80):
+            subset = rng.sample(rs, rng.randint(1, 3))
+            reqs.append(acquire(eng, subset,
+                                holder(i, rng.choice([0.5, 1.0, 1.5])),
+                                label=f"q{i}"))
+        check()
+        eng.run()
+        assert all(q.released for q in reqs)
+        assert all(r._waiters == [] for r in rs)
+        assert longest > 32   # long lists, not just a handful of waiters

@@ -7,8 +7,9 @@ from repro.sim.trace import merge_intervals, render_gantt
 
 
 def traced(eng, tracer, name, dur, lane, kind, deps=()):
-    t = Task(eng, name=name, duration=dur, deps=deps, lane=lane, kind=kind,
-             tracer=tracer)
+    if tracer not in eng.observers:
+        eng.observers.append(tracer)
+    t = Task(eng, name=name, duration=dur, deps=deps, lane=lane, kind=kind)
     return t.submit()
 
 
@@ -60,10 +61,17 @@ class TestTracer:
         eng.run()
         tr.clear()
         assert tr.spans == []
-        tr.enabled = False
-        traced(eng, tr, "b", 1.0, "g", "pack")
+        eng.observers.remove(tr)     # unsubscribed: nothing is recorded
+        Task(eng, name="b", duration=1.0, lane="g", kind="pack").submit()
         eng.run()
         assert tr.spans == []
+
+    def test_task_without_lane_not_traced(self):
+        eng, tr = Engine(), Tracer()
+        traced(eng, tr, "laned", 1.0, "g", "pack")
+        Task(eng, name="bookkeeping", duration=1.0, kind="sync").submit()
+        eng.run()
+        assert [s.label for s in tr.spans] == ["laned"]
 
     def test_rows_sorted_by_start(self):
         eng, tr = Engine(), Tracer()
