@@ -2,9 +2,9 @@
 
 Two passes over two kinds of artifact:
 
-* :mod:`repro.analyze.plan` — the **plan verifier**: builds the static
-  message graph of a ``(Partition, Placement, Topology, method)`` tuple
-  and proves coverage, matching, sizing, capability legality, and
+* :mod:`repro.analyze.plan` — the **plan verifier**: checks the plan's
+  message graph (:mod:`repro.core.graph`, the structure the exchange
+  realizes) for coverage, matching, sizing, capability legality, and
   deadlock freedom before a single event executes.  Hooked into launch
   via ``SimCluster.create(precheck=True)``.
 * :mod:`repro.analyze.lint` — the **determinism lint**: AST rules over
@@ -19,23 +19,15 @@ dynamic sanitizer, and both are CLI-runnable::
     python -m repro.analyze lint src/
 """
 
-from .plan import (AnalysisReport, MessageEdge, MessageGraph, MpiMessage,
-                   analyze_graph, analyze_plan, graph_for_domain,
-                   graph_from_plan, plan_section, static_message_graph)
+from .plan import AnalysisReport, analyze_graph, analyze_plan, plan_section
 from .lint import lint_paths, lint_source
 from .rules import ALL_RULES
 
 __all__ = [
     "AnalysisReport",
-    "MessageEdge",
-    "MessageGraph",
-    "MpiMessage",
     "analyze_graph",
     "analyze_plan",
-    "graph_for_domain",
-    "graph_from_plan",
     "plan_section",
-    "static_message_graph",
     "lint_paths",
     "lint_source",
     "ALL_RULES",

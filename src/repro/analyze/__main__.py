@@ -11,6 +11,7 @@ import numpy as np
 
 from ..radius import Radius
 from ..core.capabilities import Capabilities
+from ..core.graph import message_graph, topology_peer
 from ..core.partition import HierarchicalPartition
 from ..core.placement import place_all_nodes
 from ..topology.summit import summit_node
@@ -19,7 +20,7 @@ from ..bench.config import parse_config
 from ..bench.harness import (DEFAULT_DTYPE, DEFAULT_QUANTITIES,
                              DEFAULT_RADIUS)
 from .lint import lint_paths
-from .plan import analyze_graph, static_message_graph
+from .plan import analyze_graph
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -31,9 +32,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     placements = place_all_nodes(partition, node, radius, args.quantities,
                                  itemsize, policy=args.placement)
     caps = Capabilities(RUNGS[args.rung], cfg.cuda_aware)
-    graph = static_message_graph(
+    graph = message_graph(
         partition, placements, node, cfg.ranks_per_node, caps, radius,
-        args.quantities, itemsize, periodic=True,
+        args.quantities, itemsize, topology_peer(node), periodic=True,
         consolidate_remote=args.consolidate)
     report = analyze_graph(graph)
     print(f"config {cfg.label()} rung {args.rung}")

@@ -56,9 +56,8 @@ def channel_tag(src_linear_id: int, direction: Dim3) -> int:
     """The MPI tag of the channel sending from subdomain ``src_linear_id``
     toward ``direction``.
 
-    Pure function of the plan — exposed so :mod:`repro.analyze` can build
-    the static message graph (and check tag-space disjointness) without
-    constructing channels.
+    Pure function of the plan: :func:`repro.core.graph.message_graph`
+    tags each edge with it, and each :class:`Channel` derives its own.
     """
     return src_linear_id * len(ALL_DIRECTIONS) + _DIR_INDEX[direction.as_tuple()]
 

@@ -10,10 +10,12 @@ optimization so the trade-off can be measured (see
 
 A :class:`ConsolidatedGroup` merges every STAGED channel between one
 (source rank, destination rank) pair into a single MPI message per
-exchange: each member channel packs and stages its halo into a dedicated
-slice of one shared pinned buffer; one ``MPI_Isend`` (gated on all the
-staging copies) carries the concatenation; the receive side fans out
-H2D + unpack per member from slices of the matching receive buffer.
+exchange; which channels, the plan's message graph decides
+(:func:`repro.core.graph.message_graph`).  Each member channel packs and
+stages its halo into a dedicated slice of one shared pinned buffer; one
+``MPI_Isend`` (gated on all the staging copies) carries the
+concatenation; the receive side fans out H2D + unpack per member from
+slices of the matching receive buffer.
 
 The win is per-message overhead and rendezvous handshakes (one instead of
 dozens); the cost is a synchronization barrier across members — the
@@ -22,9 +24,7 @@ message cannot leave until the *slowest* member has staged.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from ..errors import ConfigurationError
 from ..sim import Task
@@ -42,7 +42,7 @@ GROUP_TAG_BASE = 1 << 22
 def group_tag(src_rank: int, dst_rank: int, world_size: int) -> int:
     """The MPI tag of the consolidated rank-pair message src→dst.
 
-    Pure function of the plan, exposed for :mod:`repro.analyze`.
+    Pure function of the plan, used by :mod:`repro.core.graph`.
     """
     return GROUP_TAG_BASE + src_rank * world_size + dst_rank
 
@@ -118,33 +118,3 @@ class ConsolidatedGroup:
         return (f"ConsolidatedGroup(r{self.src_rank.index}->"
                 f"r{self.dst_rank.index}, {len(self.members)} channels, "
                 f"{self.total_bytes}B)")
-
-
-def build_groups(channels: List[Channel],
-                 internode_only: bool = True
-                 ) -> Tuple[List[ConsolidatedGroup], int]:
-    """Group consolidatable STAGED channels by (src rank, dst rank).
-
-    Returns the groups and the number of MPI messages saved per exchange.
-    Only groups with ≥ 2 members are worth forming; singletons keep their
-    ordinary per-channel message.  ``internode_only`` restricts grouping to
-    traffic that crosses nodes (the case [3] targets); intra-node STAGED
-    traffic only exists on the +remote rung anyway.
-    """
-    buckets: Dict[Tuple[int, int], List[Channel]] = defaultdict(list)
-    for ch in channels:
-        if ch.method is not ExchangeMethod.STAGED:
-            continue
-        if ch.src.rank is ch.dst.rank:
-            continue
-        if internode_only and ch.src.rank.node is ch.dst.rank.node:
-            continue
-        buckets[(ch.src.rank.index, ch.dst.rank.index)].append(ch)
-    groups = []
-    saved = 0
-    for key in sorted(buckets):
-        members = buckets[key]
-        if len(members) >= 2:
-            groups.append(ConsolidatedGroup(members))
-            saved += len(members) - 1
-    return groups, saved

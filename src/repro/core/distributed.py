@@ -245,10 +245,6 @@ class DistributedDomain:
         assert self.plan is not None
         return self.plan.run_exchange(overlap_launcher, profile=profile)
 
-    def exchange_n(self, reps: int) -> List[ExchangeResult]:
-        """Run ``reps`` consecutive exchanges (the paper averages 30)."""
-        return [self.exchange() for _ in range(reps)]
-
     def quiesce_and_replan(self):
         """Drain in-flight work, then demote channels broken by faults.
 

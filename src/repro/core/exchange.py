@@ -1,10 +1,15 @@
 """Exchange orchestration: build channels once, run halo exchanges on demand.
 
-:class:`ExchangePlan` performs the specialization phase (method selection
-per directed neighbor pair), runs the one-time setup (streams, buffers,
-peer enabling, IPC handshakes), and then executes exchange rounds following
-the paper's measurement protocol (§IV-A): ``MPI_Barrier``, timestamp,
-exchange, timestamp, report the **maximum across ranks**.
+:class:`ExchangePlan` realizes the plan's message graph
+(:mod:`repro.core.graph`, which holds the specialization phase: method
+selection per directed neighbor pair, plus §VI consolidation) as one
+:class:`~repro.core.channels.Channel` per edge and one
+:class:`~repro.core.consolidation.ConsolidatedGroup` per multi-edge MPI
+message.  It runs the one-time setup (streams, buffers, peer enabling,
+IPC handshakes), keeps the graph current when the degradation ladder
+demotes a channel, and executes exchange rounds following the paper's
+measurement protocol (§IV-A): ``MPI_Barrier``, timestamp, exchange,
+timestamp, report the **maximum across ranks**.
 
 An exchange round issues, per rank and in the library's order: receives
 first, then the straight-line CUDA enqueues and gated MPI sends, then the
@@ -18,17 +23,19 @@ own completion join, so consecutive rounds cannot overlap (the library's
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from ..dim3 import Dim3
 from ..errors import DeadlockError, ExchangeTimeoutError
 from ..sim import Task
 from ..sim.profile import CriticalPathReport, critical_path_report
 from ..sim.tasks import Dep
 from .channels import Channel, RoundOps
-from .halo import exchange_directions
-from .methods import ExchangeMethod, LivePair, select_method
+from .consolidation import ConsolidatedGroup
+from .graph import MessageGraph, live_peer, message_graph
+from .methods import ExchangeMethod, select_method
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .distributed import DistributedDomain, Subdomain
@@ -150,23 +157,28 @@ class ExchangePlan:
     def __init__(self, dd: "DistributedDomain",
                  consolidate_remote: bool = False) -> None:
         self.dd = dd
-        self.channels: List[Channel] = []
-        dirs = exchange_directions(dd.radius)
-        for src in dd.subdomains:
-            for d in dirs:
-                nbr = dd.partition.neighbor_or_none(src.spec.global_idx, d,
-                                                    dd.periodic)
-                if nbr is None:
-                    continue  # non-periodic boundary: nothing to exchange
-                dst = dd.subdomain_at(nbr)
-                method = select_method(LivePair(src, dst), dd.capabilities)
-                self.channels.append(Channel(dd, src, dst, d, method))
-        self.groups = []
-        self.messages_saved = 0
-        if consolidate_remote:
-            from .consolidation import build_groups
-            self.groups, self.messages_saved = build_groups(self.channels)
+        #: peer access as the live devices report it, faults included
+        self.peer = live_peer(dd.cluster)
+        #: the plan itself; channels and groups realize it
+        self.graph: MessageGraph = message_graph(
+            dd.partition, dd.placements, dd.cluster.machine.node,
+            dd.world.ranks_per_node, dd.capabilities, dd.radius,
+            dd.quantities, dd.dtype.itemsize, self.peer,
+            periodic=dd.periodic, consolidate_remote=consolidate_remote)
+        subs = {s.linear_id: s for s in dd.subdomains}
+        self.channels: List[Channel] = [
+            Channel(dd, subs[e.src_sub], subs[e.dst_sub], Dim3(*e.direction),
+                    e.method)
+            for e in self.graph.edges]
+        self.groups: List[ConsolidatedGroup] = [
+            ConsolidatedGroup([self.channels[i] for i in m.members])
+            for m in self.graph.mpi_messages if len(m.members) > 1]
         self._setup_done = False
+
+    @property
+    def messages_saved(self) -> int:
+        """MPI messages per round merged away by §VI consolidation."""
+        return self.graph.messages_saved
 
     # -- accounting ---------------------------------------------------------------
     def method_counts(self) -> Dict[ExchangeMethod, int]:
@@ -212,23 +224,28 @@ class ExchangePlan:
         found (STAGED terminates the walk: it needs nothing revocable),
         frees the old buffers, re-runs the channel's setup — including any
         new IPC handshakes — and records a ``fallback`` with the fault
-        layer.  Must be called at engine quiescence; returns the demotions
-        as ``(tag, old_method, new_method)``.
+        layer.  The channel's edge in :attr:`graph` takes the new method
+        and the facts it was selected on, and the graph's MPI messages
+        follow.  Must be called at engine quiescence; returns the
+        demotions as ``(tag, old_method, new_method)``.
         """
         dd = self.dd
         faults = dd.cluster.faults
+        edges = self.graph.edges
         demotions: List[Tuple[int, ExchangeMethod, ExchangeMethod]] = []
         demoted: List[Channel] = []
-        for ch in self.channels:
+        for i, ch in enumerate(self.channels):
             if ch.group is not None or ch.healthy():
                 continue  # grouped channels are STAGED (always healthy)
             old = new = ch.method
-            pair = LivePair(ch.src, ch.dst)
+            pair = edges[i].pair(self.peer)
             while not new.spec.probe(ch):
                 ch.excluded.add(new)
                 new = select_method(pair, dd.capabilities,
                                     exclude=frozenset(ch.excluded))
             ch.demote(new)
+            edges[i] = replace(edges[i], method=new, peer_fwd=pair.fwd,
+                               peer_back=pair.back)
             demotions.append((ch.tag, old, new))
             demoted.append(ch)
             if faults is not None:
@@ -236,6 +253,7 @@ class ExchangePlan:
                     f"ch{ch.tag}({ch.src.linear_id}->{ch.dst.linear_id})",
                     old.value, new.value)
         if demoted:
+            self.graph.refresh_messages()
             # Same two-beat flow as first-time setup: run the engine so
             # handshake messages land, then open the received handles.
             dd.cluster.run()

@@ -21,6 +21,7 @@ Width rule (uniform stencil across subdomains): the data sent toward
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -105,6 +106,10 @@ def exchange_directions(radius: Radius) -> List[Dim3]:
     return out
 
 
+# Regions are immutable and a plan asks for the same few (extent, radius,
+# direction) boxes once per edge from both the message-graph builder and
+# each channel, so both region functions are memoized.
+@functools.lru_cache(maxsize=4096)
 def send_region(extent: Dim3, radius: Radius, direction: Dim3) -> Region:
     """Interior box whose data is sent to the neighbor in ``direction``."""
     off, ext = [], []
@@ -125,6 +130,7 @@ def send_region(extent: Dim3, radius: Radius, direction: Dim3) -> Region:
     return Region(Dim3(*off), Dim3(*ext))
 
 
+@functools.lru_cache(maxsize=4096)
 def recv_region(extent: Dim3, radius: Radius, direction: Dim3) -> Region:
     """Halo box on the ``direction`` side, filled by that neighbor's data."""
     off, ext = [], []

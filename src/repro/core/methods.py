@@ -47,7 +47,6 @@ from .channels import SETUP_TAG_BASE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .channels import Channel, RoundOps
-    from .distributed import Subdomain
 
 
 class ExchangeMethod(enum.Enum):
@@ -76,33 +75,45 @@ class PairFacts(NamedTuple):
     peer_back: bool    #: the destination GPU can access the source GPU
 
 
-class LivePair:
-    """The :class:`PairFacts` of two realized subdomains.
+class ProbedPair:
+    """The :class:`PairFacts` of one src→dst GPU pair, peer facts probed
+    on first read and kept.
 
-    The peer facts are probed when read rather than up front: a probe
-    consults the fault layer (``peer_revoke``), so only the probes that
-    selection actually reaches may run.
+    ``probe(a, b)`` answers whether global GPU ``a`` can access ``b``.  A
+    live probe consults the fault layer (``peer_revoke``), so only the
+    probes selection actually reaches may run, each at most once;
+    :attr:`fwd` / :attr:`back` stay ``None`` for a fact never read.
     """
 
-    __slots__ = ("src", "dst", "same_sub", "same_rank", "same_node")
+    __slots__ = ("same_sub", "same_rank", "same_node", "src_gpu", "dst_gpu",
+                 "probe", "fwd", "back")
 
-    def __init__(self, src: "Subdomain", dst: "Subdomain") -> None:
-        self.src = src
-        self.dst = dst
-        self.same_sub = src is dst
-        self.same_rank = src.rank is dst.rank
-        self.same_node = src.device.node is dst.device.node
+    def __init__(self, same_sub: bool, same_rank: bool, same_node: bool,
+                 src_gpu: int, dst_gpu: int,
+                 probe: Callable[[int, int], bool]) -> None:
+        self.same_sub = same_sub
+        self.same_rank = same_rank
+        self.same_node = same_node
+        self.src_gpu = src_gpu
+        self.dst_gpu = dst_gpu
+        self.probe = probe
+        self.fwd: Optional[bool] = None
+        self.back: Optional[bool] = None
 
     @property
     def peer_fwd(self) -> bool:
-        return self.src.device.can_access_peer(self.dst.device)
+        if self.fwd is None:
+            self.fwd = self.probe(self.src_gpu, self.dst_gpu)
+        return self.fwd
 
     @property
     def peer_back(self) -> bool:
-        return self.dst.device.can_access_peer(self.src.device)
+        if self.back is None:
+            self.back = self.probe(self.dst_gpu, self.src_gpu)
+        return self.back
 
     def __repr__(self) -> str:
-        return f"subdomain {self.src.linear_id} -> {self.dst.linear_id}"
+        return f"gpu {self.src_gpu} -> gpu {self.dst_gpu}"
 
 
 def _nothing(*_args) -> None:
@@ -324,12 +335,11 @@ def select_method(pair: PairFacts, caps: Capabilities,
                   ) -> ExchangeMethod:
     """First method that is enabled, not excluded, and applies to ``pair``.
 
-    ``pair`` is a :class:`PairFacts` (the static plan verifier) or a
-    :class:`LivePair` of realized subdomains.  ``exclude`` skips methods
-    already ruled out — the graceful-degradation ladder passes the set of
-    methods a mid-run fault broke (revoked peer access, CUDA-aware MPI
-    support withdrawn) so the channel re-selects the best *surviving*
-    method, ultimately STAGED.
+    ``pair`` is a :class:`PairFacts` or a :class:`ProbedPair`.  ``exclude``
+    skips methods already ruled out — the graceful-degradation ladder
+    passes the set of methods a mid-run fault broke (revoked peer access,
+    CUDA-aware MPI support withdrawn) so the channel re-selects the best
+    *surviving* method, ultimately STAGED.
     """
     for spec in _enabled(caps):
         if spec.method not in exclude and spec.applies(pair):

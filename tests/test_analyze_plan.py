@@ -1,4 +1,4 @@
-"""The static plan verifier: check battery, cross-validation, precheck."""
+"""The static plan verifier: check battery, differential checks, precheck."""
 
 import dataclasses
 
@@ -7,21 +7,21 @@ import pytest
 import repro
 from repro import Capability, Dim3
 from repro.errors import AnalysisError
-from repro.analyze import (AnalysisReport, analyze_graph, analyze_plan,
-                           graph_for_domain, graph_from_plan, plan_section,
-                           static_message_graph)
-from repro.analyze.plan import check_crossvalidation
+from repro.analyze import analyze_graph, analyze_plan, plan_section
 from repro.bench.baselines import BASELINES, RUNGS
 from repro.bench.config import parse_config
 from repro.bench.harness import (DEFAULT_DTYPE, DEFAULT_QUANTITIES,
                                  DEFAULT_RADIUS, build_domain,
                                  profile_exchange_config)
-from repro.core import channels as channels_mod
+from repro.core import graph as graph_mod
 from repro.core.capabilities import Capabilities
+from repro.core.graph import message_graph, topology_peer
 from repro.core.partition import HierarchicalPartition
 from repro.core.placement import place_all_nodes
 from repro.radius import Radius
 from repro.topology.summit import summit_node
+
+from tests.test_faults_recovery import REVOKE_ALL
 
 import numpy as np
 
@@ -35,10 +35,19 @@ def static_graph(config_str, rung, consolidate=False):
     placements = place_all_nodes(partition, node, radius,
                                  DEFAULT_QUANTITIES, itemsize)
     caps = Capabilities(RUNGS[rung], cfg.cuda_aware)
-    return static_message_graph(partition, placements, node,
-                                cfg.ranks_per_node, caps, radius,
-                                DEFAULT_QUANTITIES, itemsize,
-                                consolidate_remote=consolidate)
+    return message_graph(partition, placements, node, cfg.ranks_per_node,
+                         caps, radius, DEFAULT_QUANTITIES, itemsize,
+                         topology_peer(node), consolidate_remote=consolidate)
+
+
+def topology_graph(dd):
+    """The builder's graph for a domain's configuration, peer access taken
+    from the node topology instead of the live devices."""
+    node = dd.cluster.machine.node
+    return message_graph(dd.partition, dd.placements, node,
+                         dd.world.ranks_per_node, dd.capabilities, dd.radius,
+                         dd.quantities, dd.dtype.itemsize, topology_peer(node),
+                         dd.periodic, dd.consolidate_remote)
 
 
 def realized_domain(config_str, rung, **kwargs):
@@ -61,12 +70,7 @@ def test_baseline_realized_plans_match_static_prediction(config_str, rung):
     dd = realized_domain(config_str, rung)
     report = analyze_plan(dd)
     assert report.ok, report.summary()
-    static = graph_for_domain(dd)
-    realized = graph_from_plan(dd)
-    assert sorted(e.key() for e in static.edges) == \
-        sorted(e.key() for e in realized.edges)
-    assert static.mpi_summary() == realized.mpi_summary()
-    assert static.messages_saved == realized.messages_saved
+    assert dd.plan.graph == topology_graph(dd)
 
 
 def test_consolidated_static_graph_matches_plan():
@@ -78,10 +82,10 @@ def test_consolidated_static_graph_matches_plan():
     dd3.realize()
     report = analyze_plan(dd3)
     assert report.ok, report.summary()
-    static = graph_for_domain(dd3)
-    realized = graph_from_plan(dd3)
-    assert static.messages_saved == realized.messages_saved > 0
-    assert static.mpi_summary() == realized.mpi_summary()
+    assert dd3.plan.graph == topology_graph(dd3)
+    assert dd3.plan.messages_saved > 0
+    assert len(dd3.plan.groups) == sum(
+        len(m.members) > 1 for m in dd3.plan.graph.mpi_messages)
 
 
 # -- the check battery catches seeded breakage ------------------------------------
@@ -98,9 +102,7 @@ def kinds(report):
 
 
 def rebuild_messages(g):
-    from repro.analyze.plan import _edges_to_messages
-    g.mpi_messages, g.messages_saved = _edges_to_messages(
-        g.edges, g.world_size, False)
+    g.mpi_messages, g.messages_saved = graph_mod._edge_messages(g.edges), 0
     return g
 
 
@@ -183,15 +185,6 @@ def test_recv_after_send_detected():
     assert "recv-after-send" in kinds(analyze_graph(g))
 
 
-def test_crossvalidation_flags_divergence():
-    a = static_graph("2n/1r/2g/128", "+direct")
-    b = static_graph("2n/1r/2g/128", "+direct")
-    b.edges = b.edges[1:]
-    report = AnalysisReport()
-    check_crossvalidation(a, b, report)
-    assert "plan-divergence" in kinds(report)
-
-
 # -- precheck hook ----------------------------------------------------------------
 
 def test_precheck_passes_on_clean_plan():
@@ -209,10 +202,10 @@ def test_precheck_env_variable(monkeypatch):
 
 
 def test_precheck_raises_before_launch_on_broken_plan(monkeypatch):
-    # Sabotage the tag function so every channel collides on tag 0: the
-    # realized plan diverges from the static prediction and collides
-    # (src, dst, tag) triples.  Precheck must raise before plan.setup().
-    monkeypatch.setattr(channels_mod, "channel_tag", lambda *_: 0)
+    # Sabotage the builder's tag function so every edge collides on tag
+    # 0: the plan collides (src, dst, tag) triples.  Precheck must raise
+    # before plan.setup().
+    monkeypatch.setattr(graph_mod, "channel_tag", lambda *_: 0)
     with pytest.raises(AnalysisError) as exc:
         realized_domain("2n/1r/2g/128", "+direct", precheck=True)
     msg = str(exc.value)
@@ -221,13 +214,19 @@ def test_precheck_raises_before_launch_on_broken_plan(monkeypatch):
 
 # -- metrics cross-validation (the acceptance criterion) --------------------------
 
-@pytest.mark.parametrize("config_str,rung", BASELINES)
-def test_static_counts_match_metrics_counters(config_str, rung):
+@pytest.mark.parametrize("config_str,rung,faults", [
+    *(pytest.param(c, r, None, id=f"{c}-{r}") for c, r in BASELINES),
+    # the warm-up round demotes every CUDA-aware channel to STAGED
+    pytest.param("2n/2r/2g/128/ca", "+kernel", REVOKE_ALL,
+                 id="2n/2r/2g/128/ca-+kernel-degraded"),
+])
+def test_static_counts_match_metrics_counters(config_str, rung, faults):
     """Static per-scope message count and bytes × reps == measured."""
     reps = 2
     run = profile_exchange_config(parse_config(config_str), RUNGS[rung],
                                   reps=reps, warmup=1, profile=False,
-                                  trace=False, metrics=True, data_mode=True)
+                                  trace=False, metrics=True, data_mode=True,
+                                  faults=faults)
     snap = run.cluster.metrics.registry.snapshot()
     measured = {}
     for name, field in (("mpi.messages", "count"), ("mpi.bytes", "bytes")):
@@ -237,7 +236,7 @@ def test_static_counts_match_metrics_counters(config_str, rung):
             measured[scope][field] += series["value"]
     predicted = {
         scope: {"count": row["count"] * reps, "bytes": row["bytes"] * reps}
-        for scope, row in graph_from_plan(run.dd).mpi_summary().items()}
+        for scope, row in run.dd.plan.graph.mpi_summary().items()}
     assert predicted == measured
 
 

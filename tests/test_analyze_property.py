@@ -4,8 +4,10 @@ For randomized ``(machine, ranks-per-node, size, radius, capability rung,
 placement, consolidation)`` draws spanning all six exchange methods, the
 static plan verifier's verdict must agree with what actually happens:
 
-* the static graph equals the realized plan's graph (two independent
-  derivations of the same structure),
+* the plan's graph, built on live peer probes, equals the builder's
+  graph on the node topology's peer facts (no fault plan is attached);
+* each channel's own ``LocalDomain``-derived regions, size and tag equal
+  its edge's,
 * a clean static verdict implies a correct exchange
   (:func:`repro.core.verify.verify_halos` finds every halo cell right)
   and a clean dynamic sanitizer run.
@@ -17,7 +19,8 @@ import repro
 from repro import Capability, Dim3
 from repro.core.capabilities import LADDER
 from repro.core.verify import verify_halos
-from repro.analyze import analyze_plan, graph_for_domain, graph_from_plan
+from repro.analyze import analyze_plan
+from repro.core.graph import message_graph, topology_peer
 
 from tests.exchange_helpers import fill_pattern
 
@@ -60,12 +63,18 @@ def test_static_verdict_agrees_with_dynamic_checkers(cfg):
     except (repro.PartitionError, repro.ConfigurationError):
         return  # domain too small for this machine: a legal rejection
 
-    # The two graph derivations agree exactly.
-    static = graph_for_domain(dd)
-    realized = graph_from_plan(dd)
-    assert sorted(e.key() for e in static.edges) == \
-        sorted(e.key() for e in realized.edges)
-    assert static.mpi_summary() == realized.mpi_summary()
+    # Live peer probes and the declared topology give the same graph.
+    node = cluster.machine.node
+    assert dd.plan.graph == message_graph(
+        dd.partition, dd.placements, node, rpn, dd.capabilities, dd.radius,
+        dd.quantities, dd.dtype.itemsize, topology_peer(node), dd.periodic,
+        consolidate)
+
+    # Each channel derives its regions, size and tag itself; all agree
+    # with the edge it realizes.
+    for ch, e in zip(dd.plan.channels, dd.plan.graph.edges, strict=True):
+        assert (ch.send_reg, ch.recv_reg, ch.nbytes, ch.tag) == \
+            (e.send_region, e.recv_region, e.nbytes, e.tag)
 
     report = analyze_plan(dd)
     assert report.ok, report.summary()

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro import Capability, Dim3
-from repro.core.consolidation import ConsolidatedGroup, build_groups
+from repro.core.consolidation import ConsolidatedGroup
 from repro.core.methods import ExchangeMethod
 from repro.errors import ConfigurationError
 
@@ -60,10 +60,12 @@ class TestGrouping:
         with pytest.raises(ConfigurationError):
             ConsolidatedGroup([])
 
-    def test_build_groups_counts_savings(self):
-        dd = make_dd(consolidate=False)
-        groups, saved = build_groups(dd.plan.channels)
-        assert saved == sum(len(g.members) - 1 for g in groups)
+    def test_messages_saved_counts_grouped_members(self):
+        graph = make_dd().plan.graph
+        grouped = [m for m in graph.mpi_messages if len(m.members) > 1]
+        assert grouped
+        assert graph.messages_saved == sum(len(m.members) - 1
+                                           for m in grouped)
 
 
 class TestCorrectness:

@@ -109,14 +109,6 @@ class TestExchangeResult:
         s = dd.exchange().summary()
         assert "ms" in s and "MB" in s
 
-    def test_exchange_n(self):
-        dd = make_dd().realize()
-        results = dd.exchange_n(3)
-        assert len(results) == 3
-        # Deterministic simulation: steady-state repeats agree closely.
-        assert results[1].elapsed == pytest.approx(results[2].elapsed,
-                                                   rel=0.05)
-
     def test_virtual_time_monotonic(self):
         dd = make_dd().realize()
         r1 = dd.exchange()

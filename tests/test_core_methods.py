@@ -12,8 +12,9 @@ from repro.topology import summit_machine
 from repro.topology.presets import machine_of, pcie_node
 from repro.core.capabilities import LADDER, Capabilities, Capability
 from repro.core.distributed import DistributedDomain
-from repro.core.methods import (METHODS, ExchangeMethod, LivePair, PairFacts,
-                                select_method)
+from repro.core.graph import live_peer
+from repro.core.methods import (METHODS, ExchangeMethod, PairFacts,
+                                ProbedPair, select_method)
 
 
 class TestCapabilityFlags:
@@ -51,6 +52,13 @@ def build_subdomains(machine_nodes=1, rpn=6, size=Dim3(24, 24, 24),
     return dd
 
 
+def live_pair(a, b):
+    """The facts of two realized subdomains, peer access probed live."""
+    return ProbedPair(a is b, a.rank is b.rank, a.device.node is b.device.node,
+                      a.device.global_index, b.device.global_index,
+                      live_peer(a.rank.world.cluster))
+
+
 class TestSelection:
     def test_self_exchange_kernel(self):
         # 1 node x 1 gpu-col in z: size forces a dim of extent 1 in gpu
@@ -58,21 +66,21 @@ class TestSelection:
         dd = build_subdomains(rpn=1, size=Dim3(12, 12, 12))
         caps = Capabilities(Capability.all(), False)
         s = dd.subdomains[0]
-        assert select_method(LivePair(s, s), caps) == ExchangeMethod.KERNEL
+        assert select_method(live_pair(s, s), caps) == ExchangeMethod.KERNEL
 
     def test_same_rank_peer(self):
         dd = build_subdomains(rpn=1)
         caps = Capabilities(Capability.all(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
         assert a.rank is b.rank
-        assert select_method(LivePair(a, b), caps) == ExchangeMethod.PEER_MEMCPY
+        assert select_method(live_pair(a, b), caps) == ExchangeMethod.PEER_MEMCPY
 
     def test_cross_rank_same_node_colocated(self):
         dd = build_subdomains(rpn=6)
         caps = Capabilities(Capability.all(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
         assert a.rank is not b.rank
-        assert select_method(LivePair(a, b), caps) == ExchangeMethod.COLOCATED_MEMCPY
+        assert select_method(live_pair(a, b), caps) == ExchangeMethod.COLOCATED_MEMCPY
 
     def test_cross_node_staged(self):
         dd = build_subdomains(machine_nodes=2, rpn=6, size=Dim3(24, 24, 24))
@@ -85,7 +93,7 @@ class TestSelection:
                     break
             if cross:
                 break
-        assert select_method(LivePair(*cross), caps) == ExchangeMethod.STAGED
+        assert select_method(live_pair(*cross), caps) == ExchangeMethod.STAGED
 
     def test_cross_node_cuda_aware(self):
         dd = build_subdomains(machine_nodes=2, rpn=6, cuda_aware=True)
@@ -93,20 +101,20 @@ class TestSelection:
         a = dd.subdomains[0]
         b = next(s for s in dd.subdomains
                  if s.device.node is not a.device.node)
-        assert select_method(LivePair(a, b), caps) == ExchangeMethod.CUDA_AWARE_MPI
+        assert select_method(live_pair(a, b), caps) == ExchangeMethod.CUDA_AWARE_MPI
 
     def test_remote_only_forces_mpi_on_node(self):
         """The '+remote' rung: even same-rank pairs go through MPI."""
         dd = build_subdomains(rpn=1)
         caps = Capabilities(Capability.remote_only(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
-        assert select_method(LivePair(a, b), caps) == ExchangeMethod.STAGED
+        assert select_method(live_pair(a, b), caps) == ExchangeMethod.STAGED
 
     def test_kernel_disabled_self_exchange_falls_to_peer(self):
         dd = build_subdomains(rpn=1, size=Dim3(12, 12, 12))
         caps = Capabilities(Capability.plus_peer(), False)
         s = dd.subdomains[0]
-        assert select_method(LivePair(s, s), caps) == ExchangeMethod.PEER_MEMCPY
+        assert select_method(live_pair(s, s), caps) == ExchangeMethod.PEER_MEMCPY
 
     def test_no_peer_access_falls_back_to_staged(self):
         """On the PCIe box nothing but MPI methods apply."""
@@ -114,14 +122,14 @@ class TestSelection:
         dd = build_subdomains(machine=m, rpn=4, size=Dim3(16, 16, 16))
         caps = Capabilities(Capability.all(), False)
         a, b = dd.subdomains[0], dd.subdomains[1]
-        assert select_method(LivePair(a, b), caps) == ExchangeMethod.STAGED
+        assert select_method(live_pair(a, b), caps) == ExchangeMethod.STAGED
 
     def test_nothing_enabled_raises(self):
         dd = build_subdomains(rpn=1)
         caps = Capabilities(Capability.KERNEL, False)  # kernel only
         a, b = dd.subdomains[0], dd.subdomains[1]
         with pytest.raises(CapabilityError):
-            select_method(LivePair(a, b), caps)
+            select_method(live_pair(a, b), caps)
 
 
 # -- the table against the ladder it replaced ------------------------------------

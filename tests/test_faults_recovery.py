@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro import Dim3
+from repro.analyze import plan_section
 from repro.core.methods import ExchangeMethod
 from repro.core.verify import verify_halos
 from repro.errors import ExchangeTimeoutError, PeerAccessError
@@ -90,6 +91,35 @@ class TestDegradationLadder:
         src, dst = d0.alloc(1024), d1.alloc(1024)
         with pytest.raises(PeerAccessError, match="revoked"):
             ctx.memcpy_peer_async(dst, src, stream)
+
+    def test_precheck_accepts_plan_built_around_setup_time_revoke(self):
+        """The plan selects around a revocation active at setup, and the
+        verifier checks that same plan, so precheck has nothing to flag."""
+        ref = make_dd()
+        fill_pattern(ref)
+        ref.exchange()
+        reference = [s.domain.array.copy() for s in ref.subdomains]
+
+        revoke = FaultPlan(faults=(
+            {"kind": "peer_revoke", "gpu": 0, "peer": 1, "at": 0.0},))
+        dd = make_dd(faults=revoke, precheck=True)
+        fill_pattern(dd)
+        dd.exchange()
+        for got, want in zip((s.domain.array for s in dd.subdomains),
+                             reference, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_plan_section_follows_degradation(self):
+        dd = make_dd(faults=REVOKE_ALL)
+        demotions = dd.quiesce_and_replan()
+        assert demotions
+        section = plan_section(dd)
+        assert section["verdict"] == "ok"
+        by_method = section["message_graph"]["by_method"]
+        assert "cuda_aware" not in by_method
+        assert {new.value for _tag, _old, new in demotions} <= set(by_method)
+        assert [e.method for e in dd.plan.graph.edges] == \
+            [ch.method for ch in dd.plan.channels]
 
     def test_fault_free_channels_are_untouched(self):
         dd = make_dd(faults=FaultPlan())
