@@ -105,6 +105,14 @@ def place_node_aware(partition: HierarchicalPartition, node_idx: Dim3,
     """
     w = compute_flow_matrix(partition, node_idx, radius, quantities,
                             itemsize, periodic)
+    return _solve_placement(w, node, method, distance, {})
+
+
+def _solve_placement(w: np.ndarray, node: NodeTopology, method: str,
+                     distance: np.ndarray | None,
+                     memo: Dict[tuple, qap.QapSolution]) -> Placement:
+    """Node-aware placement for flow ``w``, solving each distinct QAP
+    instance in ``memo`` once (the solvers are deterministic)."""
     if w.shape[0] != node.n_gpus:
         raise PlacementError(
             f"{w.shape[0]} subdomains for {node.n_gpus} GPUs")
@@ -112,7 +120,10 @@ def place_node_aware(partition: HierarchicalPartition, node_idx: Dim3,
     if d.shape != w.shape:
         raise PlacementError(
             f"distance matrix shape {d.shape} != flow shape {w.shape}")
-    sol = qap.solve(w, d, method=method)
+    key = (w.tobytes(), w.shape, d.tobytes(), method)
+    sol = memo.get(key)
+    if sol is None:
+        sol = memo[key] = qap.solve(w, d, method=method)
     kind = "node_aware" if distance is None else "node_aware_empirical"
     return Placement(sol.perm, sol.cost, f"{kind}/{sol.method}")
 
@@ -162,11 +173,13 @@ def place_all_nodes(partition: HierarchicalPartition, node: NodeTopology,
     elif policy != "node_aware":
         distance = None
     out: Dict[Tuple[int, int, int], Placement] = {}
+    # Nodes whose blocks have the same flow matrix share one QAP solve.
+    memo: Dict[tuple, qap.QapSolution] = {}
     for n_idx in partition.node_dims.indices():
         if policy == "node_aware":
-            p = place_node_aware(partition, n_idx, node, radius, quantities,
-                                 itemsize, method=qap_method,
-                                 distance=distance, periodic=periodic)
+            w = compute_flow_matrix(partition, n_idx, radius, quantities,
+                                    itemsize, periodic)
+            p = _solve_placement(w, node, qap_method, distance, memo)
         elif policy == "trivial":
             p = place_trivial(partition, n_idx, node, radius, quantities,
                               itemsize, periodic=periodic)

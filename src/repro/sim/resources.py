@@ -20,12 +20,32 @@ stall later requests whose resources are free (a "work-conserving FIFO").
 This mirrors how independent DMA engines and links proceed in parallel on
 real hardware while transfers sharing a link queue up, and it is fully
 deterministic.
+
+A blocked request is *parked* on exactly one resource: the first one in
+its set with no free slot (``blocked_on[0]`` when it arrives).  A release
+takes out only the requests parked on the resources it frees and visits
+them in arrival order.  Each is granted if its whole set now has free
+slots; otherwise it is parked again, on the first resource still full.
+This grants exactly what a scan of every waiter of the released resources
+would.  A request parked on a resource that is not being released is
+blocked by a resource that has been full since the request last looked: a
+resource only frees a slot in a release, and a release takes out every
+request parked on it.  Within one wake, grants only take slots, so such a
+request stays blocked throughout, and the requests that are visited are
+visited in the same order as by the scan.  A wake therefore costs work in
+proportion to the requests parked on the released resources, not to every
+request that shares one of them.
+
+A granted request drops its ``on_grant`` callback once it is scheduled;
+the engine's event queue keeps it alive until it runs.  The request then
+holds no reference back to its task, so a finished round leaves no
+reference cycles for the garbage collector.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from .engine import Engine
@@ -68,7 +88,8 @@ class Resource:
         #: take 1/scale longer.  Nothing in the base simulator writes it.
         self.bandwidth_scale: float = 1.0
         self._in_use = 0
-        self._waiters: List["AcquireRequest"] = []
+        #: requests parked on this resource (see "Grant policy"), by seq
+        self._waiters: Dict[int, "AcquireRequest"] = {}
         self._id = next(_resource_ids)
         # Utilization accounting (any slot held counts as busy).
         self.busy_time = 0.0
@@ -152,9 +173,6 @@ class AcquireRequest:
             return 0.0
         return self.grant_time - self.request_time
 
-    def _grantable(self) -> bool:
-        return all(r.free_slots > 0 for r in self.resources)
-
     def _grant(self, engine: Engine) -> None:
         self.granted = True
         self.grant_time = engine.now
@@ -169,8 +187,10 @@ class AcquireRequest:
         for r in self.resources:
             r._occupy()
         # Defer the callback through the event queue so grants triggered by a
-        # release all observe consistent resource state.
+        # release all observe consistent resource state.  The queue is then
+        # the callback's only holder, so no task <-> request cycle remains.
         engine.schedule(0.0, self.on_grant)
+        self.on_grant = None
 
     def release(self) -> None:
         """Release all held slots and wake eligible waiters."""
@@ -200,30 +220,32 @@ def acquire(engine: Engine, resources: Sequence[Resource],
         seen.setdefault(r._id, r)
     req = AcquireRequest(tuple(seen.values()), on_grant, label)
     req.request_time = engine.now
-    if req._grantable():
-        req._grant(engine)
+    blocked = tuple(r for r in req.resources if r._in_use >= r.capacity)
+    if blocked:
+        req.blocked_on = blocked
+        blocked[0]._waiters[req.seq] = req
     else:
-        req.blocked_on = tuple(r for r in req.resources if r.free_slots <= 0)
-        for r in req.resources:
-            r._waiters.append(req)
+        req._grant(engine)
     return req
 
 
 def _wake_waiters(engine: Engine, released: Iterable[Resource]) -> None:
     """After a release, grant every now-satisfiable waiter in arrival order.
 
-    Scans only the waiter lists of the released resources; each candidate's
-    full resource set is re-checked so multi-resource atomicity holds.  A
-    waiter leaves every list it is on the moment it is granted, so the
-    lists only ever hold pending requests.
+    Visits only the requests parked on the released resources.  Each one
+    is granted if every resource in its set has a free slot, and otherwise
+    parked again on the first that has none (see "Grant policy").
     """
     candidates: Dict[int, AcquireRequest] = {}
     for r in released:
-        for w in r._waiters:
-            candidates[w.seq] = w
+        if r._waiters:
+            candidates.update(r._waiters)
+            r._waiters.clear()
     for seq in sorted(candidates):
         w = candidates[seq]
-        if w._grantable():
+        for r in w.resources:
+            if r._in_use >= r.capacity:
+                r._waiters[seq] = w
+                break
+        else:
             w._grant(engine)
-            for r in w.resources:
-                r._waiters.remove(w)

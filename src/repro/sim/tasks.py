@@ -42,7 +42,8 @@ class Signal:
         self.name = name
         self.completed = False
         self.completion_time: Optional[float] = None
-        self._dependents: List["Task"] = []
+        #: tasks waiting on this signal; an empty tuple once it has fired
+        self._dependents: Sequence["Task"] = []
         #: the task whose completion fired this signal, when known — lets
         #: critical-path walks continue through request/condition boundaries
         self.source: Optional["Task"] = None
@@ -57,7 +58,7 @@ class Signal:
         self.completion_time = engine.now
         if source is not None:
             self.source = source
-        dependents, self._dependents = self._dependents, []
+        dependents, self._dependents = self._dependents, ()
         for t in dependents:
             t._dep_completed(engine)
 
@@ -118,8 +119,10 @@ class Task:
         self.kind = kind
         self.bytes = bytes
         self._id = next(_task_ids)
-        self._dependents: List[Task] = []
-        self._callbacks: List[Callable[["Task"], None]] = []
+        #: tasks waiting on this one; an empty tuple once it has completed
+        self._dependents: Sequence[Task] = []
+        #: completion callbacks, allocated on first use
+        self._callbacks: Optional[List[Callable[["Task"], None]]] = None
         self.submitted = False
         self.started = False
         self.completed = False
@@ -128,7 +131,8 @@ class Task:
         self.eligible_time: Optional[float] = None
         self._request = None
         self._remaining_deps = 0
-        self._deps: List[Dep] = []
+        #: recorded dependencies (``engine.retain_dag``), allocated on first use
+        self._deps: Optional[List[Dep]] = None
         for d in deps:
             self.add_dep(d)
 
@@ -144,6 +148,8 @@ class Task:
         if self.engine.retain_dag:
             # Already-completed deps are kept too: the latest-finishing dep
             # determines eligibility regardless of when it was attached.
+            if self._deps is None:
+                self._deps = []
             self._deps.append(dep)
         if dep.completed:
             return
@@ -154,6 +160,8 @@ class Task:
         """Register a completion callback (fires after ``action``)."""
         if self.completed:
             fn(self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
@@ -183,7 +191,7 @@ class Task:
     @property
     def deps(self) -> Sequence[Dep]:
         """The recorded dependencies (empty unless ``engine.retain_dag``)."""
-        return tuple(self._deps)
+        return tuple(self._deps or ())
 
     @property
     def queue_wait(self) -> float:
@@ -217,10 +225,11 @@ class Task:
             self.action()
         for o in self.engine.observers:
             o.task_finished(self)
-        for cb in self._callbacks:
-            cb(self)
-        self._callbacks = []
-        dependents, self._dependents = self._dependents, []
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks is not None:
+            for cb in callbacks:
+                cb(self)
+        dependents, self._dependents = self._dependents, ()
         for t in dependents:
             t._dep_completed(self.engine)
 

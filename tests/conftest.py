@@ -13,13 +13,24 @@ registry and fail loudly on
   (the CI sanitize job), every cluster carries a concurrency sanitizer and
   a clean test must finalize with zero findings.  Tests that *provoke*
   findings opt out with ``@pytest.mark.expect_findings``.
+
+It also registers the ``oracle`` hypothesis profile, selected with
+``HYPOTHESIS_PROFILE=oracle``.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.runtime.cluster import cluster_registry
+
+#: the CI grant-oracle step runs with many more examples; tests that pin
+#: ``max_examples`` keep their own count.
+settings.register_profile("oracle", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_configure(config):

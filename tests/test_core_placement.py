@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import qap
+
 from repro.dim3 import Dim3
 from repro.errors import PlacementError
 from repro.radius import Radius
@@ -165,6 +167,29 @@ class TestPlaceAllNodes:
         for policy in ("node_aware", "trivial", "random"):
             ps = place_all_nodes(hp, node, R1, 1, 4, policy=policy)
             assert len(ps) == 2
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_memoized_solves_match_per_node_placement(self, periodic,
+                                                       monkeypatch):
+        # 4x2x2 nodes of uneven extents: nodes with equal flow matrices
+        # share one QAP solve, and every node gets what a solve of its own
+        # would have given.
+        hp = HierarchicalPartition(Dim3(3434, 3434, 3434), 16, 6)
+        assert hp.node_dims == Dim3(4, 2, 2)
+        node = summit_node()
+        solves = []
+        solve = qap.solve
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qap, "solve", counted)
+        placements = place_all_nodes(hp, node, R1, 4, 4, periodic=periodic)
+        assert 1 <= len(solves) < 16
+        for n_idx in hp.node_dims.indices():
+            assert placements[n_idx.as_tuple()] == place_node_aware(
+                hp, n_idx, node, R1, 4, 4, periodic=periodic)
 
     def test_unknown_policy(self):
         hp = HierarchicalPartition(Dim3(64, 64, 64), 1, 6)

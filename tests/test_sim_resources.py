@@ -161,20 +161,30 @@ class TestScale:
 
 class TestWaiterLists:
     def test_waiter_lists_hold_only_pending_requests(self):
-        # A waiter leaves every resource list the moment it is granted, so
-        # no list ever holds a granted request — the invariant that lets
-        # _wake_waiters skip re-checking and compacting its lists.
+        # Every pending request is parked on exactly one resource, one with
+        # no free slot, and leaves it the moment it is granted — the
+        # invariant that lets _wake_waiters visit only the requests parked
+        # on the released resources.
         eng = Engine()
         rs = [Resource(eng, f"r{i}", capacity=1 + i % 2) for i in range(4)]
         rng = random.Random(7)
         reqs = []
-        longest = 0
+        longest = most = 0
 
         def check():
-            nonlocal longest
+            nonlocal longest, most
+            parked = {}
             for r in rs:
-                assert not any(w.granted for w in r._waiters), r.name
+                for seq, w in r._waiters.items():
+                    assert w.seq == seq and not w.granted, r.name
+                    assert seq not in parked, f"{w.label} parked twice"
+                    assert r.free_slots == 0, r.name
+                    assert r in w.resources, r.name
+                    parked[seq] = w
                 longest = max(longest, len(r._waiters))
+            pending = {q.seq for q in reqs if not q.granted}
+            assert set(parked) == pending
+            most = max(most, len(pending))
 
         def holder(i, duration):
             def finish():
@@ -190,5 +200,9 @@ class TestWaiterLists:
         check()
         eng.run()
         assert all(q.released for q in reqs)
-        assert all(r._waiters == [] for r in rs)
-        assert longest > 32   # long lists, not just a handful of waiters
+        assert all(r._waiters == {} for r in rs)
+        # Many waiters and long maps, not just a handful.  A request waits
+        # in one map, not one per resource, so the longest map (27 here)
+        # stays below the number of requests waiting at once (75).
+        assert most > 64
+        assert longest > 24
