@@ -408,19 +408,6 @@ class ExchangePlan:
             method_bytes=self.method_bytes(),
             profile=prof,
         )
-        m = dd.cluster.metrics
-        if m is not None:
-            m.histogram("exchange.round_s").observe(result.elapsed)
-            for i, t in finishes.items():
-                m.histogram("exchange.rank_round_s", rank=i).observe(t - t0)
-            m.counter("exchange.rounds").inc()
-            for meth, n in result.method_counts.items():
-                m.counter("exchange.transfers", method=meth.value).inc(n)
-            for meth, b in result.method_bytes.items():
-                m.counter("exchange.bytes", method=meth.value).inc(b)
-            m.gauge("exchange.imbalance").set(result.imbalance)
-            slowest = max(finishes, key=finishes.get) if finishes else -1
-            m.emit("exchange.round", start=t0, end=end,
-                   elapsed=result.elapsed, ranks=len(finishes),
-                   critical_rank=slowest, bytes=result.total_bytes)
+        for o in dd.cluster.engine.observers:
+            o.round_finished(result)
         return result

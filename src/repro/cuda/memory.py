@@ -48,24 +48,20 @@ class _BufferBase:
     def symbolic(self) -> bool:
         return self.array is None
 
-    def _sanitizer(self):
-        """The owning cluster's sanitizer, if one is attached (else None)."""
-        return None
+    def _misused(self, misuse: str) -> CudaError:
+        """Report ``misuse`` to the observers; returns the error to raise."""
+        for o in self.cluster.engine.observers:
+            o.buffer_misused(self, misuse)
+        return CudaError(f"{misuse} of buffer {self.label!r}")
 
     def check_alive(self) -> None:
         if self.freed:
-            san = self._sanitizer()
-            if san is not None:
-                san.lifetime.use_after_free(self)
-            raise CudaError(f"use-after-free of buffer {self.label!r}")
+            raise self._misused("use-after-free")
 
     def _check_free(self) -> None:
         """Common guard for ``free()``: double-free is a hard error."""
         if self.freed:
-            san = self._sanitizer()
-            if san is not None:
-                san.lifetime.double_free(self)
-            raise CudaError(f"double-free of buffer {self.label!r}")
+            raise self._misused("double-free")
 
     def copy_from(self, other: "_BufferBase") -> None:
         """Move bytes from ``other`` (no-op if either side is symbolic)."""
@@ -97,8 +93,9 @@ class DeviceBuffer(_BufferBase):
         super().__init__(nbytes, array, label)
         self.device = device
 
-    def _sanitizer(self):
-        return self.device.cluster.sanitizer
+    @property
+    def cluster(self):
+        return self.device.cluster
 
     def free(self) -> None:
         self._check_free()
@@ -130,8 +127,9 @@ class PinnedBuffer(_BufferBase):
         #: byte offset of this buffer within :attr:`base`
         self.base_offset = 0
 
-    def _sanitizer(self):
-        return self.node.cluster.sanitizer
+    @property
+    def cluster(self):
+        return self.node.cluster
 
     def free(self) -> None:
         self._check_free()
@@ -165,6 +163,10 @@ class PinnedBuffer(_BufferBase):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PinnedBuffer({self.label!r}, {self.nbytes}B on n{self.node.index})"
+
+
+#: the buffer classes; any other MPI payload is a small Python object
+BUFFERS = (DeviceBuffer, PinnedBuffer)
 
 
 def make_array(shape: Tuple[int, ...], dtype, symbolic: bool) -> Optional[np.ndarray]:

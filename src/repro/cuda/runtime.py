@@ -61,12 +61,6 @@ class CudaContext:
         t.submit()
         return t
 
-    def _annotate(self, task: Task, reads=(), writes=()) -> None:
-        """Declare ``task``'s buffer accesses to the sanitizer, if any."""
-        san = self.cluster.sanitizer
-        if san is not None:
-            san.races.annotate(task, reads, writes)
-
     def issue(self, what: str, deps: Sequence[Dep] = (),
               cost: Optional[float] = None, ordered: bool = True) -> Task:
         """One serial slice of this CPU thread (an API call's host side).
@@ -89,9 +83,8 @@ class CudaContext:
         t = self._task(name=self._label(what), duration=cost,
                        resources=(self.cpu,), deps=all_deps,
                        lane=self.lane, kind="issue")
-        m = self.cluster.metrics
-        if m is not None:
-            m.counter("cuda.api.calls", op=what, lane=self.lane).inc()
+        for o in self.cluster.engine.observers:
+            o.api_call(self, what)
         if ordered:
             self._cpu_tail = t
         return t
@@ -106,10 +99,10 @@ class CudaContext:
     def create_stream(self, device: Device) -> Stream:
         """``cudaStreamCreate`` (issue cost charged)."""
         self.issue("streamCreate")
-        m = self.cluster.metrics
-        if m is not None:
-            m.gauge("cuda.streams", device=device.lane).add(1)
-        return Stream(device)
+        stream = Stream(device)
+        for o in self.cluster.engine.observers:
+            o.stream_created(stream)
+        return stream
 
     def event_record(self, stream: Stream, deps: Sequence[Dep] = ()) -> Event:
         """``cudaEventRecord``: capture the stream's current tail."""
@@ -169,10 +162,10 @@ class CudaContext:
         runs — used by kernels whose loads/stores cross NVLink to a peer
         device (the §VI DIRECT_ACCESS method).
 
-        ``reads`` / ``writes`` declare the kernel's buffer accesses for the
-        sanitizer's race detector: each item is a buffer (whole-buffer), or
-        ``(buffer, Region)`` for a box within a subdomain array.  Ignored
-        when no sanitizer is attached.
+        ``reads`` / ``writes`` declare the kernel's buffer accesses, which
+        the device-op event carries to the sanitizer's race detector: each
+        item is a buffer (whole-buffer), or ``(buffer, Region)`` for a box
+        within a subdomain array.
         """
         cost = self.cluster.cost
         dev = stream.device
@@ -194,19 +187,8 @@ class CudaContext:
                        deps=op_deps,
                        action=action, lane=dev.lane, kind=kind, bytes=nbytes)
         stream.chain(t)
-        self._annotate(t, reads=reads, writes=writes)
-        m = self.cluster.metrics
-        if m is not None:
-            m.counter("cuda.kernel.count", kind=kind, device=dev.lane).inc()
-            m.counter("cuda.kernel.bytes", kind=kind, device=dev.lane).inc(nbytes)
-            if kind in ("pack", "unpack") and duration > 0 and nbytes:
-                # Per-GPU pack/unpack throughput (the paper's Fig. 10 axis).
-                m.histogram("cuda.pack.bytes_per_s", kind=kind,
-                            device=dev.lane).observe(nbytes / duration)
-            t.on_complete(lambda task: m.emit(
-                "cuda.kernel", kind=kind, device=dev.lane, op=task.name,
-                bytes=nbytes, start=task.start_time,
-                queue_wait=task.queue_wait))
+        for o in self.cluster.engine.observers:
+            o.device_op(t, "kernel", reads, writes)
         return t
 
     # -- copies -----------------------------------------------------------------------
@@ -235,11 +217,10 @@ class CudaContext:
         raise CudaError(
             f"unsupported memcpy {type(src).__name__} -> {type(dst).__name__}")
 
-    def _enqueue_copy(self, stream: Stream, what: str, kind: str,
-                      resources, duration: float, nbytes: int,
-                      action, deps: Sequence[Dep],
-                      ordered: bool = True,
-                      src_buf=None, dst_buf=None) -> Task:
+    def _enqueue_copy(self, dst, src, stream: Stream, what: str, kind: str,
+                      resources, duration: float, deps: Sequence[Dep],
+                      ordered: bool) -> Task:
+        """Enqueue the copy of all of ``src`` into ``dst`` on ``stream``."""
         faults = self.cluster.faults
         if faults is not None:
             duration = faults.scaled_duration(duration, resources)
@@ -248,26 +229,12 @@ class CudaContext:
         if stream.tail is not None:
             op_deps.append(stream.tail)
         t = self._task(name=self._label(what), duration=duration,
-                       resources=resources, deps=op_deps, action=action,
-                       lane=stream.device.lane, kind=kind, bytes=nbytes)
+                       resources=resources, deps=op_deps,
+                       action=lambda: dst.copy_from(src),
+                       lane=stream.device.lane, kind=kind, bytes=src.nbytes)
         stream.chain(t)
-        # Copies touch their whole buffers: declare src as read, dst as
-        # write, so the race detector sees every async transfer.
-        self._annotate(t,
-                       reads=() if src_buf is None else (src_buf,),
-                       writes=() if dst_buf is None else (dst_buf,))
-        m = self.cluster.metrics
-        if m is not None:
-            dev = stream.device.lane
-            m.counter("cuda.memcpy.count", kind=kind, device=dev).inc()
-            m.counter("cuda.memcpy.bytes", kind=kind, device=dev).inc(nbytes)
-            if duration > 0 and nbytes:
-                m.histogram("cuda.memcpy.bytes_per_s",
-                            kind=kind).observe(nbytes / duration)
-            t.on_complete(lambda task: m.emit(
-                "cuda.memcpy", kind=kind, device=dev, op=task.name,
-                bytes=nbytes, start=task.start_time,
-                queue_wait=task.queue_wait))
+        for o in self.cluster.engine.observers:
+            o.device_op(t, "memcpy", (src,), (dst,))
         return t
 
     def _copy_d2h(self, dst: PinnedBuffer, src: DeviceBuffer,
@@ -282,10 +249,8 @@ class CudaContext:
         bw = node.path_bandwidth(dev.component, dev.cpu_component)
         dur = (node.path_latency(dev.component, dev.cpu_component)
                + src.nbytes / (bw * cost.staging_efficiency))
-        return self._enqueue_copy(
-            stream, what, "d2h", [dev.copy_d2h, *path], dur, src.nbytes,
-            lambda: dst.copy_from(src), deps, ordered,
-            src_buf=src, dst_buf=dst)
+        return self._enqueue_copy(dst, src, stream, what, "d2h",
+                                  [dev.copy_d2h, *path], dur, deps, ordered)
 
     def _copy_h2d(self, dst: DeviceBuffer, src: PinnedBuffer,
                   stream: Stream, what: str, deps,
@@ -299,20 +264,16 @@ class CudaContext:
         bw = node.path_bandwidth(dev.cpu_component, dev.component)
         dur = (node.path_latency(dev.cpu_component, dev.component)
                + src.nbytes / (bw * cost.staging_efficiency))
-        return self._enqueue_copy(
-            stream, what, "h2d", [dev.copy_h2d, *path], dur, src.nbytes,
-            lambda: dst.copy_from(src), deps, ordered,
-            src_buf=src, dst_buf=dst)
+        return self._enqueue_copy(dst, src, stream, what, "h2d",
+                                  [dev.copy_h2d, *path], dur, deps, ordered)
 
     def _copy_d2d_local(self, dst: DeviceBuffer, src: DeviceBuffer,
                         stream: Stream, what: str, deps,
                         ordered: bool = True) -> Task:
         dev = src.device
         dur = src.nbytes / dev.spec.internal_bandwidth
-        return self._enqueue_copy(
-            stream, what, "kernel", [dev.kernel_engine], dur, src.nbytes,
-            lambda: dst.copy_from(src), deps, ordered,
-            src_buf=src, dst_buf=dst)
+        return self._enqueue_copy(dst, src, stream, what, "kernel",
+                                  [dev.kernel_engine], dur, deps, ordered)
 
     def memcpy_peer_async(self, dst: DeviceBuffer, src: DeviceBuffer,
                           stream: Stream, what: str = "memcpyPeer",
@@ -355,6 +316,5 @@ class CudaContext:
             # Driver-staged bounce through the host.
             resources = [sdev.copy_d2h, ddev.copy_h2d, *path]
             dur = lat + src.nbytes / (bw * 0.5 * cost.peer_efficiency)
-        return self._enqueue_copy(stream, what, "peer", resources, dur,
-                                  src.nbytes, lambda: dst.copy_from(src),
-                                  deps, ordered, src_buf=src, dst_buf=dst)
+        return self._enqueue_copy(dst, src, stream, what, "peer", resources,
+                                  dur, deps, ordered)

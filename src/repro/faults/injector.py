@@ -4,8 +4,10 @@ The :class:`FaultInjector` is the single mutable object behind a
 :class:`~repro.faults.plan.FaultPlan`: it owns the seeded RNG, the
 per-spec remaining-injection counts, the plain ``counters`` dict the
 acceptance harness reads (``faults_injected`` / ``retries`` /
-``fallbacks`` / ``timeouts``), a :class:`FaultReport` of findings, and the
-mirrors into the optional metrics/trace layers.
+``fallbacks`` / ``timeouts``) and a :class:`FaultReport` of findings.
+Each finding is also reported on the engine's observation stream
+(``Observer.fault_recorded``), from which the metrics and trace layers
+derive their ``faults.*`` series and ``fault`` spans.
 
 The substrate consults it at well-defined points:
 
@@ -50,7 +52,7 @@ class FaultInjector:
         self.plan = plan
         self.rng = random.Random(plan.seed)
         self.report = FaultReport()
-        #: headline counters, mirrored into ``repro.metrics`` when attached
+        #: headline counters (also reported with each finding's event)
         self.counters: Dict[str, int] = {
             "faults_injected": 0, "retries": 0, "fallbacks": 0, "timeouts": 0,
         }
@@ -65,50 +67,34 @@ class FaultInjector:
         self._armed = False
 
     # -- recording -------------------------------------------------------------
-    def _emit(self, kind: str, message: str,
-              subjects: Tuple[str, ...] = ()) -> None:
-        now = self.cluster.engine.now
-        self.report.add(Finding(checker="faults", kind=kind, message=message,
-                                subjects=subjects, time=now))
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            subject = subjects[0] if subjects else ""
-            tracer.record("faults", "fault", f"{kind}:{subject}", now, now)
+    def _emit(self, kind: str, message: str, subjects: Tuple[str, ...] = (),
+              counter: str = "", **fields) -> None:
+        """Log one finding, bumping :attr:`counters` entry ``counter`` (if
+        given), and report it to the engine's observers with ``fields``."""
+        if counter:
+            self.counters[counter] += 1
+        finding = Finding(checker="faults", kind=kind, message=message,
+                          subjects=subjects, time=self.cluster.engine.now)
+        self.report.add(finding)
+        for o in self.cluster.engine.observers:
+            o.fault_recorded(finding, counter, **fields)
 
     def record_injection(self, kind: str, subject: str, message: str) -> None:
-        self.counters["faults_injected"] += 1
-        m = self.cluster.metrics
-        if m is not None:
-            m.counter("faults.injected", kind=kind).inc()
-            m.emit("fault.injected", kind=kind, subject=subject)
-        self._emit(kind, message, (subject,))
+        self._emit(kind, message, (subject,), "faults_injected")
 
     def record_retry(self, subject: str, attempt: int, delay: float) -> None:
-        self.counters["retries"] += 1
-        m = self.cluster.metrics
-        if m is not None:
-            m.counter("faults.retries").inc()
-            m.emit("fault.retry", subject=subject, attempt=attempt)
         self._emit("retry",
                    f"re-sending {subject} (attempt {attempt + 2}) after "
-                   f"{delay:.3e}s backoff", (subject,))
+                   f"{delay:.3e}s backoff", (subject,), "retries",
+                   attempt=attempt)
 
     def record_fallback(self, subject: str, old: str, new: str) -> None:
-        self.counters["fallbacks"] += 1
-        m = self.cluster.metrics
-        if m is not None:
-            m.counter("faults.fallbacks").inc()
-            m.emit("fault.fallback", subject=subject, old=old, new=new)
         self._emit("fallback",
-                   f"channel {subject} demoted {old} -> {new}", (subject,))
+                   f"channel {subject} demoted {old} -> {new}", (subject,),
+                   "fallbacks", old=old, new=new)
 
     def record_timeout(self, subject: str, message: str) -> None:
-        self.counters["timeouts"] += 1
-        m = self.cluster.metrics
-        if m is not None:
-            m.counter("faults.timeouts").inc()
-            m.emit("fault.timeout", subject=subject)
-        self._emit("timeout", message, (subject,))
+        self._emit("timeout", message, (subject,), "timeouts")
 
     def record_exhausted(self, subject: str, attempts: int) -> None:
         self._emit("retries-exhausted",

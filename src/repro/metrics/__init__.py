@@ -3,36 +3,39 @@
 An opt-in observability layer (the metrics analogue of
 :mod:`repro.sanitize`): enable with ``SimCluster.create(machine,
 metrics=True)`` (or ``REPRO_METRICS=1``, or ``--metrics`` on the bench
-CLI) and every layer reports in::
+CLI) and the :class:`Metrics` bundle subscribes to the engine's
+observation stream::
 
     cluster = SimCluster.create(summit_machine(2), metrics=True)
     ... build world/domain, exchange ...
     snap = cluster.metrics.snapshot()          # counters/gauges/histograms
     log  = cluster.metrics.events.to_jsonl()   # virtual-time event log
 
-* the **CUDA runtime** counts kernel launches and memcpy bytes by kind and
-  device, and histograms pack/unpack throughput per GPU;
-* the **MPI transport** counts messages/bytes split eager-vs-rendezvous and
-  intra-vs-inter-node, histograms message sizes and match latency, and
-  tracks per-rank queue depths;
-* the **exchange layer** histograms round latency and counts per-method
-  traffic;
-* the bundle subscribes to the engine's observation stream and keeps
-  every **resource**'s closed busy episodes, from which
+The instrumented layers only report what happened (an API call, a device
+op, an MPI match, a fault, a finished round); every metric name, label,
+histogram and event-log record derived from those events lives here:
+
+* **cuda**: kernel launches and memcpy bytes by kind and device, API
+  calls, streams, and pack/unpack throughput per GPU;
+* **mpi**: messages/bytes by protocol, scope and buffer class, message
+  sizes, match latency and per-rank queue depths;
+* **exchange** round latency and per-method traffic, and **fault**
+  counters and events;
+* every **resource**'s closed busy episodes, from which
   :mod:`repro.metrics.timeline` derives per-link-class utilization
   timelines and an ASCII heatmap.
 
 Everything is deterministic: snapshots and event logs from two identical
 runs are byte-identical (virtual clock only, no wall time), so they diff
 cleanly and feed the ``repro.bench compare`` regression gate.  When not
-enabled the instrumentation is a single attribute check per call site —
-zero overhead, like ``--sanitize``.
+enabled, each event is a loop over an empty observer list.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from ..cuda.memory import DeviceBuffer, PinnedBuffer
 from ..sim.engine import Observer
 from .events import EventLog
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -47,12 +50,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: bump when the METRICS_<config>.json layout changes incompatibly
 METRICS_SCHEMA = "repro-metrics/1"
 
+#: ``FaultInjector.counters`` entry -> (counter name, event-log name)
+_FAULT_SERIES = {
+    "faults_injected": ("faults.injected", "fault.injected"),
+    "retries": ("faults.retries", "fault.retry"),
+    "fallbacks": ("faults.fallbacks", "fault.fallback"),
+    "timeouts": ("faults.timeouts", "fault.timeout"),
+}
+
+
+def _scope(a, b) -> str:
+    """Rank-relative scope of a message between ranks ``a`` and ``b``."""
+    if a is b:
+        return "self"
+    return "intra" if a.node is b.node else "inter"
+
+
+def _buffer_class(payload) -> str:
+    if isinstance(payload, DeviceBuffer):
+        return "device"
+    return "host" if isinstance(payload, PinnedBuffer) else "object"
+
 
 class Metrics(Observer):
     """The per-cluster telemetry bundle: a registry plus an event log.
 
-    Constructing it subscribes it to ``engine.observers``, where it
-    collects every resource's closed busy episodes into :attr:`busy`.
+    Constructing it subscribes it to ``engine.observers``: it turns the
+    layers' events into series and keeps busy episodes in :attr:`busy`.
     """
 
     __slots__ = ("engine", "registry", "events", "busy")
@@ -69,18 +93,91 @@ class Metrics(Observer):
                       end: float) -> None:
         self.busy.setdefault(resource, []).append((start, end))
 
-    # convenience pass-throughs so call sites read naturally
-    def counter(self, name: str, **labels) -> Counter:
-        return self.registry.counter(name, **labels)
+    # -- cuda -------------------------------------------------------------------
+    def api_call(self, context, what: str) -> None:
+        self.registry.counter("cuda.api.calls", op=what,
+                              lane=context.lane).inc()
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self.registry.gauge(name, **labels)
+    def stream_created(self, stream) -> None:
+        self.registry.gauge("cuda.streams", device=stream.device.lane).add(1)
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self.registry.histogram(name, **labels)
+    def device_op(self, task, op: str, reads, writes) -> None:
+        if op == "wire":
+            return  # MPI traffic is counted at match time
+        reg = self.registry
+        kind, device, nbytes = task.kind, task.lane, task.bytes
+        # cuda.kernel.count/.bytes or cuda.memcpy.count/.bytes
+        reg.counter(f"cuda.{op}.count", kind=kind, device=device).inc()
+        reg.counter(f"cuda.{op}.bytes", kind=kind, device=device).inc(nbytes)
+        if task.duration > 0 and nbytes:
+            rate = nbytes / task.duration
+            if op == "memcpy":
+                reg.histogram("cuda.memcpy.bytes_per_s", kind=kind).observe(rate)
+            elif kind in ("pack", "unpack"):
+                # Per-GPU pack/unpack throughput (the paper's Fig. 10 axis).
+                reg.histogram("cuda.pack.bytes_per_s", kind=kind,
+                              device=device).observe(rate)
+        task.on_complete(lambda t: self.events.emit(
+            f"cuda.{op}", kind=kind, device=device, op=t.name, bytes=nbytes,
+            start=t.start_time, queue_wait=t.queue_wait))
 
-    def emit(self, event: str, **fields) -> None:
-        self.events.emit(event, **fields)
+    # -- mpi --------------------------------------------------------------------
+    def mpi_queue_changed(self, rank, side: str, delta: int) -> None:
+        self.registry.gauge("mpi.queue_depth", side=side,
+                            rank=rank.index).add(delta)
+
+    def mpi_matched(self, send, recv, eager: bool) -> None:
+        reg = self.registry
+        protocol = "eager" if eager else "rendezvous"
+        scope = _scope(send.rank, recv.rank)
+        buffer = _buffer_class(send.payload)
+        reg.counter("mpi.messages", protocol=protocol, scope=scope,
+                    buffer=buffer).inc()
+        reg.counter("mpi.bytes", protocol=protocol, scope=scope,
+                    buffer=buffer).inc(send.nbytes)
+        reg.histogram("mpi.message_bytes", protocol=protocol).observe(
+            send.nbytes)
+        # How long the first-posted side sat in the match queue.
+        reg.histogram("mpi.match_latency_s", scope=scope).observe(
+            self.engine.now - min(send.posted_at, recv.posted_at))
+        self.events.emit("mpi.match", send=send.request.label,
+                         recv=recv.request.label, bytes=send.nbytes,
+                         protocol=protocol, scope=scope)
+
+    def mpi_delivered(self, send, recv) -> None:
+        self.events.emit("mpi.deliver", send=send.request.label,
+                         recv=recv.request.label, bytes=send.nbytes)
+
+    # -- faults and exchange rounds ----------------------------------------------
+    def fault_recorded(self, finding, counter: str, **fields) -> None:
+        series = _FAULT_SERIES.get(counter)
+        if series is None:
+            return
+        name, event = series
+        # Only injections carry a label: the injected fault's kind.
+        labels = {"kind": finding.kind} if counter == "faults_injected" else {}
+        self.registry.counter(name, **labels).inc()
+        self.events.emit(event, subject=finding.subjects[0], **labels,
+                         **fields)
+
+    def round_finished(self, result) -> None:
+        reg = self.registry
+        reg.histogram("exchange.round_s").observe(result.elapsed)
+        finishes = result.rank_finish
+        for i, t in finishes.items():
+            reg.histogram("exchange.rank_round_s", rank=i).observe(
+                t - result.start)
+        reg.counter("exchange.rounds").inc()
+        for meth, n in result.method_counts.items():
+            reg.counter("exchange.transfers", method=meth.value).inc(n)
+        for meth, b in result.method_bytes.items():
+            reg.counter("exchange.bytes", method=meth.value).inc(b)
+        reg.gauge("exchange.imbalance").set(result.imbalance)
+        slowest = max(finishes, key=finishes.get) if finishes else -1
+        self.events.emit("exchange.round", start=result.start,
+                         end=result.end, elapsed=result.elapsed,
+                         ranks=len(finishes), critical_rank=slowest,
+                         bytes=result.total_bytes)
 
     def clear(self) -> None:
         """Reset registry and event log (e.g. after warm-up rounds).

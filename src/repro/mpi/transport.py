@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 from ..errors import (ExchangeTimeoutError, MpiError,
                       TransientTransportError, TruncationError)
 from ..sim import Resource, Task
-from ..cuda.memory import DeviceBuffer, PinnedBuffer
+from ..cuda.memory import BUFFERS, DeviceBuffer, PinnedBuffer
 from .request import Request
 from .status import Status
 
@@ -54,7 +54,7 @@ class _SendEntry:
     nbytes: int
     issue: Task
     inject: Optional[Task] = None     # eager: set once the payload is in flight
-    posted_at: float = 0.0            # stamped when metrics are enabled
+    posted_at: float = 0.0            # stamped when the transport takes it
 
 
 @dataclass
@@ -66,11 +66,11 @@ class _RecvEntry:
     payload: Any                      # DeviceBuffer | PinnedBuffer | None
     capacity: int
     issue: Task
-    posted_at: float = 0.0            # stamped when metrics are enabled
+    posted_at: float = 0.0            # stamped when the transport takes it
 
 
 def _payload_nbytes(payload: Any) -> int:
-    if isinstance(payload, (DeviceBuffer, PinnedBuffer)):
+    if isinstance(payload, BUFFERS):
         return payload.nbytes
     return OBJECT_NBYTES
 
@@ -87,12 +87,10 @@ class Transport:
         self.bytes_delivered = 0
 
     # -- posting -------------------------------------------------------------
-    def _queue_gauge(self, side: str, rank: "Rank", delta: int) -> None:
-        """Track per-rank pending send/recv queue depth (with peak)."""
-        m = self.world.cluster.metrics
-        if m is not None:
-            m.gauge("mpi.queue_depth", side=side,
-                    rank=rank.index).add(delta)
+    def _queue_changed(self, side: str, rank: "Rank", delta: int) -> None:
+        """Report a change in ``rank``'s pending send/recv queue depth."""
+        for o in self.world.cluster.engine.observers:
+            o.mpi_queue_changed(rank, side, delta)
 
     def _arm_deadline(self, request: Request, kind: str, tag: int) -> None:
         """Virtual-time watchdog on one request (fault layer only).
@@ -118,15 +116,13 @@ class Transport:
         request.on_complete(lambda _r: eng.cancel(eid))
 
     def submit_send(self, entry: _SendEntry) -> None:
-        m = self.world.cluster.metrics
-        if m is not None:
-            entry.posted_at = self.world.cluster.engine.now
+        entry.posted_at = self.world.cluster.engine.now
         self._arm_deadline(entry.request, "send", entry.tag)
         key = (entry.rank.index, entry.dest, entry.tag)
         rq = self._recvs.get(key)
         if rq:
             recv = rq.popleft()
-            self._queue_gauge("recv", recv.rank, -1)
+            self._queue_changed("recv", recv.rank, -1)
             self._match(entry, recv)
             return
         if self._is_eager(entry):
@@ -134,22 +130,20 @@ class Transport:
             # buffer now; the send request completes without a matching recv.
             self._eager_inject(entry)
         self._sends.setdefault(key, deque()).append(entry)
-        self._queue_gauge("send", entry.rank, +1)
+        self._queue_changed("send", entry.rank, +1)
 
     def post_recv(self, entry: _RecvEntry) -> None:
-        m = self.world.cluster.metrics
-        if m is not None:
-            entry.posted_at = self.world.cluster.engine.now
+        entry.posted_at = self.world.cluster.engine.now
         self._arm_deadline(entry.request, "recv", entry.tag)
         key = (entry.source, entry.rank.index, entry.tag)
         sq = self._sends.get(key)
         if sq:
             send = sq.popleft()
-            self._queue_gauge("send", send.rank, -1)
+            self._queue_changed("send", send.rank, -1)
             self._match(send, entry)
         else:
             self._recvs.setdefault(key, deque()).append(entry)
-            self._queue_gauge("recv", entry.rank, +1)
+            self._queue_changed("recv", entry.rank, +1)
 
     def unmatched(self) -> List[str]:
         """Labels of never-matched sends/recvs (deadlock diagnostics)."""
@@ -169,52 +163,15 @@ class Transport:
             return True   # object messages are tiny
         return s.nbytes <= self.world.cluster.cost.rendezvous_threshold
 
-    def _record_match(self, s: _SendEntry, r: _RecvEntry) -> None:
-        """Counters/histograms/event for one matched message pair."""
-        m = self.world.cluster.metrics
-        if m is None:
-            return
-        eager = self._is_eager(s)
-        protocol = "eager" if eager else "rendezvous"
-        if s.rank is r.rank:
-            scope = "self"
-        elif s.rank.node is r.rank.node:
-            scope = "intra"
-        else:
-            scope = "inter"
-        if isinstance(s.payload, DeviceBuffer):
-            buffer = "device"
-        elif isinstance(s.payload, PinnedBuffer):
-            buffer = "host"
-        else:
-            buffer = "object"
-        m.counter("mpi.messages", protocol=protocol, scope=scope,
-                  buffer=buffer).inc()
-        m.counter("mpi.bytes", protocol=protocol, scope=scope,
-                  buffer=buffer).inc(s.nbytes)
-        m.histogram("mpi.message_bytes", protocol=protocol).observe(s.nbytes)
-        # How long the first-posted side sat in the match queue.
-        now = self.world.cluster.engine.now
-        m.histogram("mpi.match_latency_s", scope=scope).observe(
-            now - min(s.posted_at, r.posted_at))
-        m.emit("mpi.match", send=s.request.label, recv=r.request.label,
-               bytes=s.nbytes, protocol=protocol, scope=scope)
-
     def _match(self, s: _SendEntry, r: _RecvEntry) -> None:
-        self._record_match(s, r)
-        san = self.world.cluster.sanitizer
-        if san is not None:
-            both = (isinstance(s.payload, (DeviceBuffer, PinnedBuffer))
-                    and isinstance(r.payload, (DeviceBuffer, PinnedBuffer)))
-            san.mpi.on_match(s.request.label, r.request.label, s.nbytes,
-                             r.capacity, self.world.cluster.engine.now,
-                             buffers=both)
-        if isinstance(r.payload, (DeviceBuffer, PinnedBuffer)):
-            if s.nbytes > r.capacity:
-                raise TruncationError(
-                    f"message {s.request.label} ({s.nbytes} B) exceeds "
-                    f"receive buffer {r.request.label} ({r.capacity} B)")
-        if self._is_eager(s):
+        eager = self._is_eager(s)
+        for o in self.world.cluster.engine.observers:
+            o.mpi_matched(s, r, eager)
+        if isinstance(r.payload, BUFFERS) and s.nbytes > r.capacity:
+            raise TruncationError(
+                f"message {s.request.label} ({s.nbytes} B) exceeds "
+                f"receive buffer {r.request.label} ({r.capacity} B)")
+        if eager:
             if s.inject is None:
                 self._eager_inject(s)
             self._eager_deliver(s, r)
@@ -222,17 +179,12 @@ class Transport:
             self._rendezvous(s, r)
 
     # route helpers ------------------------------------------------------------
-    def _host_route(self, s: _SendEntry, r: _RecvEntry,
-                    include_progress: str = "both"
+    def _host_route(self, s: _SendEntry, r: _RecvEntry
                     ) -> Tuple[List[Resource], float, float]:
         """(resources, bandwidth, latency) for a host-path message."""
         cost = self.world.cluster.cost
         src, dst = s.rank, r.rank
-        res: List[Resource] = []
-        if include_progress in ("both", "src"):
-            res.append(src.progress)
-        if include_progress in ("both", "dst"):
-            res.append(dst.progress)
+        res: List[Resource] = [src.progress, dst.progress]
         if src is dst:
             return res, cost.self_copy_bandwidth, 0.3e-6
         if src.node is dst.node:
@@ -294,9 +246,8 @@ class Transport:
         library never issues one; rejecting them catches exchange-method
         bugs early.
         """
-        s_buf = isinstance(s.payload, (DeviceBuffer, PinnedBuffer))
-        r_buf = isinstance(r.payload, (DeviceBuffer, PinnedBuffer))
-        if not (s_buf and r_buf):
+        if not (isinstance(s.payload, BUFFERS)
+                and isinstance(r.payload, BUFFERS)):
             return False
         return isinstance(s.payload, DeviceBuffer) != isinstance(r.payload, DeviceBuffer)
 
@@ -334,7 +285,7 @@ class Transport:
         build exactly the task the pre-fault code built (identical label,
         duration, resources) — zero perturbation.  A dropped/corrupted
         attempt still occupies the wire for its full duration but carries
-        no copy action and no receive-side sanitizer annotation (nothing
+        no copy action and reports no receive-side write (nothing
         landed), then re-sends after seeded exponential backoff, up to the
         plan's ``max_retries``.  Exhaustion leaves the requests pending for
         the request/round deadline to convert into a diagnostic
@@ -382,23 +333,16 @@ class Transport:
         status = Status(source=s.rank.index, tag=s.tag, count_bytes=s.nbytes)
         if complete_send:
             s.request._complete(eng, status, source=source)
-        data = None
-        if isinstance(r.payload, (DeviceBuffer, PinnedBuffer)):
-            if isinstance(s.payload, (DeviceBuffer, PinnedBuffer)):
-                pass  # bytes were moved by the wire task's action
-        else:
-            data = s.payload
+        # Buffer payloads were moved by the wire task's action.
+        data = None if isinstance(r.payload, BUFFERS) else s.payload
         r.request._complete(eng, status, data=data, source=source)
         self.messages_delivered += 1
         self.bytes_delivered += s.nbytes
-        m = self.world.cluster.metrics
-        if m is not None:
-            m.emit("mpi.deliver", send=s.request.label,
-                   recv=r.request.label, bytes=s.nbytes)
+        for o in self.world.cluster.engine.observers:
+            o.mpi_delivered(s, r)
 
     def _copy_action(self, s: _SendEntry, r: _RecvEntry):
-        if isinstance(s.payload, (DeviceBuffer, PinnedBuffer)) and \
-                isinstance(r.payload, (DeviceBuffer, PinnedBuffer)):
+        if isinstance(s.payload, BUFFERS) and isinstance(r.payload, BUFFERS):
             src, dst, n = s.payload, r.payload, s.nbytes
 
             def action() -> None:
@@ -414,20 +358,14 @@ class Transport:
 
     def _annotate_transfer(self, task: Task, s: _SendEntry,
                            r: Optional[_RecvEntry] = None) -> None:
-        """Record the wire/deliver task's buffer accesses with the race
-        detector: it reads the send payload and (when ``r`` is given)
-        writes the first ``s.nbytes`` bytes of the receive payload."""
-        san = self.world.cluster.sanitizer
-        if san is None:
-            return
-        reads = []
-        writes = []
-        if isinstance(s.payload, (DeviceBuffer, PinnedBuffer)):
-            reads.append(s.payload)
-        if r is not None and isinstance(r.payload, (DeviceBuffer, PinnedBuffer)):
-            writes.append((r.payload, (0, s.nbytes)))
-        if reads or writes:
-            san.races.annotate(task, reads, writes)
+        """Report the wire/deliver task as a device op: it reads the send
+        payload and (when ``r`` is given) writes the first ``s.nbytes``
+        bytes of the receive payload."""
+        reads = [s.payload] if isinstance(s.payload, BUFFERS) else []
+        writes = ([(r.payload, (0, s.nbytes))]
+                  if r is not None and isinstance(r.payload, BUFFERS) else [])
+        for o in self.world.cluster.engine.observers:
+            o.device_op(task, "wire", reads, writes)
 
     def _eager_route(self, s: _SendEntry) -> Tuple[List[Resource], float, float]:
         """(resources, bandwidth, latency) for an eager injection.

@@ -24,7 +24,7 @@ from ..errors import ConfigurationError, MpiError
 from ..sim import Resource, Task
 from ..sim.tasks import Dep
 from ..cuda.device import Device
-from ..cuda.memory import DeviceBuffer, PinnedBuffer, make_array
+from ..cuda.memory import BUFFERS, DeviceBuffer, PinnedBuffer, make_array
 from ..cuda.runtime import CudaContext
 from .request import Request
 from .transport import Transport, _RecvEntry, _SendEntry, _payload_nbytes
@@ -85,7 +85,8 @@ class Rank:
         self.world._check_rank(dest)
         self._check_buffer_owner(payload)
         req = Request("send", f"s{self.index}>{dest}.t{tag}")
-        self._register_request(req)
+        for o in self.world.cluster.engine.observers:
+            o.request_posted(req, self)
         issue = self.ctx.issue("Isend", deps=deps, ordered=ordered,
                                cost=self.world.cluster.cost.mpi_call_overhead)
         entry = _SendEntry(request=req, rank=self, dest=dest, tag=tag,
@@ -100,11 +101,11 @@ class Rank:
         self.world._check_rank(source)
         self._check_buffer_owner(payload)
         req = Request("recv", f"r{self.index}<{source}.t{tag}")
-        self._register_request(req)
+        for o in self.world.cluster.engine.observers:
+            o.request_posted(req, self)
         issue = self.ctx.issue("Irecv", deps=deps, ordered=ordered,
                                cost=self.world.cluster.cost.mpi_call_overhead)
-        capacity = payload.nbytes if isinstance(
-            payload, (DeviceBuffer, PinnedBuffer)) else 0
+        capacity = payload.nbytes if isinstance(payload, BUFFERS) else 0
         entry = _RecvEntry(request=req, rank=self, source=source, tag=tag,
                            payload=payload, capacity=capacity, issue=issue)
         issue.on_complete(lambda _t: self.world.transport.post_recv(entry))
@@ -123,16 +124,10 @@ class Rank:
             self._mark_wait(r)
             self.ctx.cpu_barrier_dep(r.signal)
 
-    # -- sanitizer plumbing --------------------------------------------------------
-    def _register_request(self, req: Request) -> None:
-        san = self.world.cluster.sanitizer
-        if san is not None:
-            san.mpi.register(req, self)
-
+    # -- helpers ------------------------------------------------------------------
     def _mark_wait(self, req: Request) -> None:
-        san = self.world.cluster.sanitizer
-        if san is not None:
-            san.mpi.mark_wait(req, self)
+        for o in self.world.cluster.engine.observers:
+            o.request_waited(req, self)
         req.waited = True
 
     def _check_buffer_owner(self, payload: Any) -> None:

@@ -167,9 +167,9 @@ class SimCluster:
 
         ``metrics=True`` attaches a :class:`repro.metrics.Metrics` bundle
         (counter/gauge/histogram registry plus a virtual-time event log)
-        that also subscribes to every resource's busy episodes; the default
-        (``None``) consults ``REPRO_METRICS``.  Disabled, the
-        instrumentation costs one attribute check per call site.
+        subscribed to the engine's observation stream; the default
+        (``None``) consults ``REPRO_METRICS``.  Disabled, each reported
+        event is a loop over an empty observer list.
 
         ``precheck=True`` runs the static plan verifier
         (:func:`repro.analyze.analyze_plan`) on every domain built over

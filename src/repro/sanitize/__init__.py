@@ -18,7 +18,6 @@ CLI), run the workload, then ``cluster.finalize()`` to collect the report::
 from .core import Sanitizer
 from .deadlock import explain_stuck
 from .hb import ClockTracker
-from .lifetime import LifetimeChecker
 from .mpi import MpiChecker
 from .races import RaceDetector
 from .report import Finding, SanitizerReport
@@ -30,6 +29,5 @@ __all__ = [
     "ClockTracker",
     "RaceDetector",
     "MpiChecker",
-    "LifetimeChecker",
     "explain_stuck",
 ]

@@ -1,23 +1,24 @@
 """The sanitizer orchestrator: one observer over the whole substrate.
 
 A :class:`Sanitizer` attaches to a :class:`~repro.runtime.cluster.SimCluster`
-(``SimCluster.create(..., sanitize=True)``) and wires three checkers behind
-one :class:`~repro.sanitize.report.SanitizerReport`:
+(``SimCluster.create(..., sanitize=True)``) as a subscriber to the engine's
+observation stream, whose events feed three checkers behind one
+:class:`~repro.sanitize.report.SanitizerReport`:
 
-* the happens-before **race detector** (:mod:`repro.sanitize.races`) fed by
-  access annotations from the CUDA runtime, the exchange channels, and the
-  MPI transport;
-* the **MPI checker** (:mod:`repro.sanitize.mpi`) fed by request
-  registration/wait marking in :mod:`repro.mpi.world` and match events in
-  :mod:`repro.mpi.transport`;
-* the **lifetime checker** (:mod:`repro.sanitize.lifetime`) fed by the
-  buffer allocator.
+* the happens-before **race detector** (:mod:`repro.sanitize.races`) fed
+  by the buffer reads/writes of each device-op event (kernels, async
+  copies, MPI wire transfers);
+* the **MPI checker** (:mod:`repro.sanitize.mpi`) fed by the request
+  posted/waited and MPI matched events;
+* the **lifetime** witness, which turns each buffer-misused event into a
+  finding: the allocator raises regardless, and the finding keeps the
+  evidence (label, virtual time) when a layer above catches the error.
 
-Attaching sets ``engine.retain_dag`` (clocks need dependency edges) and
-appends the sanitizer to the engine's observers: every task start computes
-its happens-before clock and checks its declared accesses; every run to
-quiescence is a global synchronization fence that resets the epoch, which
-bounds memory across arbitrarily many exchange rounds.
+Attaching sets ``engine.retain_dag`` (clocks need dependency edges).
+Every task start computes its happens-before clock and checks its
+declared accesses; every run to quiescence is a global synchronization
+fence that resets the epoch, which bounds memory across arbitrarily many
+exchange rounds.
 
 Call :meth:`finalize` (or ``cluster.finalize()``) at the end of a run to
 materialize end-of-job findings — unmatched messages and leaked requests.
@@ -25,18 +26,24 @@ materialize end-of-job findings — unmatched messages and leaked requests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..sim.engine import Observer
 from ..sim.tasks import Task
 from .hb import ClockTracker
-from .lifetime import LifetimeChecker
 from .mpi import MpiChecker
-from .races import AccessSpec, RaceDetector
-from .report import SanitizerReport
+from .races import RaceDetector
+from .report import Finding, SanitizerReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cluster import SimCluster
+
+
+#: lifetime finding message per buffer misuse
+_MISUSE_MESSAGES = {
+    "double-free": "buffer {!r} freed twice",
+    "use-after-free": "freed buffer {!r} used in an operation",
+}
 
 
 class Sanitizer(Observer):
@@ -48,7 +55,6 @@ class Sanitizer(Observer):
         self.hb = ClockTracker()
         self.races = RaceDetector(self.hb, self.report)
         self.mpi = MpiChecker(self.report)
-        self.lifetime = LifetimeChecker(self.report, cluster.engine)
         self._finalized = False
         # Clocks require dependency edges; the observer hooks task starts.
         cluster.engine.retain_dag = True
@@ -64,11 +70,24 @@ class Sanitizer(Observer):
         self.hb.reset_epoch()
         self.races.reset_epoch()
 
-    # -- annotation entry point --------------------------------------------------
-    def annotate(self, task: Task, reads: Iterable[AccessSpec] = (),
-                 writes: Iterable[AccessSpec] = ()) -> None:
-        """Declare the buffers (or buffer boxes) ``task`` reads/writes."""
+    # -- semantic events ---------------------------------------------------------
+    def device_op(self, task: Task, op: str, reads, writes) -> None:
         self.races.annotate(task, reads, writes)
+
+    def mpi_matched(self, send, recv, eager: bool) -> None:
+        self.mpi.on_match(send, recv, self.cluster.engine.now)
+
+    def request_posted(self, request, rank) -> None:
+        self.mpi.register(request, rank)
+
+    def request_waited(self, request, rank) -> None:
+        self.mpi.mark_wait(request, rank)
+
+    def buffer_misused(self, buffer, misuse: str) -> None:
+        self.report.add(Finding(
+            checker="lifetime", kind=misuse,
+            message=_MISUSE_MESSAGES[misuse].format(buffer.label),
+            subjects=(buffer.label,), time=self.cluster.engine.now))
 
     # -- end of run ---------------------------------------------------------------
     def finalize(self) -> SanitizerReport:
@@ -78,11 +97,3 @@ class Sanitizer(Observer):
             for world in self.cluster.worlds:
                 self.mpi.finalize_world(world)
         return self.report
-
-    def summary(self) -> str:
-        return self.report.summary()
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-

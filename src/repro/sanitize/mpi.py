@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
+from ..cuda.memory import BUFFERS
 from .report import Finding, SanitizerReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,21 +58,21 @@ class MpiChecker:
             ))
 
     # -- match-time checks -----------------------------------------------------
-    def on_match(self, send_label: str, recv_label: str,
-                 send_nbytes: int, recv_capacity: int, now: float,
-                 buffers: bool) -> None:
-        if not buffers:
+    def on_match(self, send, recv, now: float) -> None:
+        """Check a matched pair of transport entries."""
+        if not (isinstance(send.payload, BUFFERS)
+                and isinstance(recv.payload, BUFFERS)):
             return  # object payloads have no declared capacity
-        if send_nbytes != recv_capacity:
-            kind = ("truncation" if send_nbytes > recv_capacity
+        if send.nbytes != recv.capacity:
+            kind = ("truncation" if send.nbytes > recv.capacity
                     else "size-mismatch")
+            s, r = send.request.label, recv.request.label
             self.report.add(Finding(
                 checker="mpi",
                 kind=kind,
-                message=(f"matched message {send_label!r} carries "
-                         f"{send_nbytes} B into receive {recv_label!r} "
-                         f"posted for {recv_capacity} B"),
-                subjects=(send_label, recv_label),
+                message=(f"matched message {s!r} carries {send.nbytes} B "
+                         f"into receive {r!r} posted for {recv.capacity} B"),
+                subjects=(s, r),
                 time=now,
             ))
 

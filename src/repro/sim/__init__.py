@@ -18,9 +18,10 @@ The model is deliberately simple and deterministic:
 
 Observation is one stream: each :class:`~repro.sim.engine.Observer` in
 ``engine.observers`` hears every task start and finish, every resource
-going idle and every run to quiescence.  The tracer, the metrics bundle
-and the sanitizer are its subscribers; with the list empty, observation
-costs nothing.
+going idle, every run to quiescence and the semantic events of the cuda,
+mpi, exchange and fault layers.  The tracer, the metrics bundle and the
+sanitizer are its subscribers; with the list empty, observation costs
+nothing.
 """
 
 from .engine import Engine, Observer

@@ -8,7 +8,8 @@ always fire in scheduling order.
 
 The engine also carries the simulation's one observation stream: every
 :class:`Observer` in :attr:`Engine.observers` hears each task start and
-finish, each resource going idle, and each run to quiescence.
+finish, each resource going idle and each run to quiescence, plus the
+semantic events the cuda, mpi, exchange and fault layers report.
 """
 
 from __future__ import annotations
@@ -45,6 +46,41 @@ class Observer:
     def on_quiescence(self) -> None:
         """A :meth:`Engine.run` call drained the event queue."""
 
+    # -- semantic events: what the cuda/mpi/exchange/fault layers did -------
+    def api_call(self, context, what: str) -> None:
+        """A CUDA/MPI call ``what`` was issued on ``context``'s CPU."""
+
+    def stream_created(self, stream) -> None:
+        """``cudaStreamCreate`` made ``stream``."""
+
+    def device_op(self, task, op: str, reads, writes) -> None:
+        """A kernel, memcpy or MPI wire ``task`` that ``reads`` and
+        ``writes`` buffers was enqueued."""
+
+    def mpi_queue_changed(self, rank, side: str, delta: int) -> None:
+        """``rank``'s unmatched send/recv queue changed by ``delta``."""
+
+    def mpi_matched(self, send, recv, eager: bool) -> None:
+        """Transport entries matched; ``eager`` is the chosen protocol."""
+
+    def mpi_delivered(self, send, recv) -> None:
+        """A matched message completed its receive."""
+
+    def request_posted(self, request, rank) -> None:
+        """``rank`` created MPI ``request``."""
+
+    def request_waited(self, request, rank) -> None:
+        """``rank`` waits on ``request`` (not yet marked waited)."""
+
+    def buffer_misused(self, buffer, misuse: str) -> None:
+        """``buffer`` was used after free or freed twice."""
+
+    def fault_recorded(self, finding, counter: str, **fields) -> None:
+        """The fault layer logged ``finding`` (and bumped ``counter``)."""
+
+    def round_finished(self, result) -> None:
+        """An exchange round ended with ``result`` (``ExchangeResult``)."""
+
 
 class Engine:
     """A deterministic discrete-event engine with a virtual clock.
@@ -80,8 +116,9 @@ class Engine:
         #: fails with a diagnostic instead of hanging the process).
         self.max_events: Optional[int] = None
         #: subscribers notified of task starts/finishes, resources going
-        #: idle and runs to quiescence (see :class:`Observer`); empty by
-        #: default, which makes observation free.
+        #: idle, runs to quiescence and the layers' semantic events (see
+        #: :class:`Observer`); empty by default, which makes observation
+        #: free.
         self.observers: List[Observer] = []
 
     # -- clock ----------------------------------------------------------------
@@ -94,10 +131,6 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of callbacks dispatched so far (diagnostics)."""
         return self._events_processed
-
-    def pending_events(self) -> int:
-        """Number of events currently queued."""
-        return len(self._heap)
 
     # -- scheduling -------------------------------------------------------------
     def schedule(self, delay: float, callback: Callback) -> int:

@@ -3,7 +3,8 @@
 The paper's Fig. 9 shows a timeline of overlapped exchange operations
 (pack kernels, peer copies, D2H/H2D staging, MPI sends) across GPUs and the
 owning rank's CPU.  :class:`Tracer` subscribes to the engine's observation
-stream and records one :class:`Span` per completed task that has a lane;
+stream and records one :class:`Span` per completed task that has a lane,
+plus a zero-length ``fault`` span for each finding the fault layer reports;
 :func:`render_gantt` renders an ASCII Gantt chart of the same form,
 and :meth:`Tracer.to_rows` produces machine-readable rows for CSV output.
 """
@@ -67,6 +68,12 @@ class Tracer(Observer):
             self.record(task.lane, task.kind or "op", task.name,
                         task.start_time, task.completion_time, task.bytes,
                         queue_wait=task.queue_wait)
+
+    def fault_recorded(self, finding, counter: str, **fields) -> None:
+        # A zero-length span marks the instant on the "faults" lane.
+        subject = finding.subjects[0] if finding.subjects else ""
+        self.record("faults", "fault", f"{finding.kind}:{subject}",
+                    finding.time, finding.time)
 
     def record(self, lane: str, kind: str, label: str,
                start: float, end: float, nbytes: int = 0,

@@ -118,12 +118,6 @@ class TestRun:
         eng.run()
         assert eng.events_processed == 7
 
-    def test_pending_events(self):
-        eng = Engine()
-        eng.schedule(1.0, lambda: None)
-        eng.schedule(2.0, lambda: None)
-        assert eng.pending_events() == 2
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
                     min_size=1, max_size=50))
     def test_determinism_property(self, delays):

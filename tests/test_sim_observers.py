@@ -1,8 +1,11 @@
 """Tests for the engine's observation stream (``Engine.observers``).
 
-Tasks and resources report to one observer list; the tracer, the metrics
-bundle and the sanitizer are subscribers, each deriving its own view.
+Tasks, resources and the cuda/mpi/exchange/fault layers report to one
+observer list; the tracer, the metrics bundle and the sanitizer are
+subscribers, each deriving its own view.
 """
+
+from collections import Counter
 
 from repro.core.capabilities import Capability
 from repro.core.distributed import DistributedDomain
@@ -38,6 +41,52 @@ class LanedTaskCounter(Observer):
 
     def task_finished(self, task):
         self.laned += bool(task.lane)
+
+
+class SemanticCounter(Observer):
+    """Counts each semantic hook; tracks MPI queue depths and their peaks."""
+
+    def __init__(self):
+        self.calls = Counter()
+        self.faults = Counter()
+        self.depth = Counter()
+        self.peak = Counter()
+
+    def api_call(self, context, what):
+        self.calls["api_call"] += 1
+
+    def stream_created(self, stream):
+        self.calls["stream_created"] += 1
+
+    def device_op(self, task, op, reads, writes):
+        self.calls[f"device_op/{op}"] += 1
+
+    def mpi_queue_changed(self, rank, side, delta):
+        key = (side, rank.index)
+        self.depth[key] += delta
+        self.peak[key] = max(self.peak[key], self.depth[key])
+
+    def mpi_matched(self, send, recv, eager):
+        self.calls["mpi_matched"] += 1
+
+    def mpi_delivered(self, send, recv):
+        self.calls["mpi_delivered"] += 1
+
+    def request_posted(self, request, rank):
+        self.calls["request_posted"] += 1
+
+    def request_waited(self, request, rank):
+        self.calls["request_waited"] += 1
+
+    def fault_recorded(self, finding, counter, **fields):
+        self.faults[counter] += 1
+
+    def round_finished(self, result):
+        self.calls["round_finished"] += 1
+
+
+def _series(snapshot, name):
+    return snapshot.get(name, {"series": []})["series"]
 
 
 class TestHooks:
@@ -110,3 +159,81 @@ class TestSubscribers:
         report = cluster.finalize()
         assert report.ok, report.summary()
         assert cluster.sanitizer.hb.epoch > 0
+
+
+class TestSemanticEvents:
+    """Set-up plus one data-mode round of ``2n/2r/2g/128/ca`` (two nodes,
+    two ranks and two GPUs per node, 128³, CUDA-aware) with every layer on
+    and a seeded drop plan."""
+
+    PLAN = {"seed": 3, "max_retries": 6, "faults": [
+        {"kind": "drop", "match": "s", "probability": 0.05,
+         "max_times": 1000}]}
+
+    def _run(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        cluster = SimCluster.create(summit_machine(2, n_gpus=2), trace=True,
+                                    metrics=True, sanitize=True,
+                                    faults=self.PLAN)
+        # Subscribed before any world or stream exists: it hears set-up too.
+        counter = SemanticCounter()
+        cluster.engine.observers.append(counter)
+        world = MpiWorld.create(cluster, ranks_per_node=2, cuda_aware=True)
+        dd = DistributedDomain(world, size=(128, 128, 128),
+                               radius=Radius.constant(1), quantities=1,
+                               capabilities=Capability.all())
+        dd.realize()
+        delivered = dd.world.transport.messages_delivered
+        dd.exchange()
+        return counter, dd, cluster, delivered
+
+    def test_counts_agree_across_subscribers(self, monkeypatch):
+        counter, dd, cluster, delivered_before = self._run(monkeypatch)
+        calls = counter.calls
+        transport = dd.world.transport
+        snap = cluster.metrics.snapshot()
+        # MPI: matched == delivered == the transport's own count == metrics.
+        assert calls["mpi_matched"] > 0
+        assert calls["mpi_matched"] == calls["mpi_delivered"]
+        assert calls["mpi_delivered"] == transport.messages_delivered
+        assert sum(s["value"] for s in _series(snap, "mpi.messages")) \
+            == calls["mpi_matched"]
+        assert transport.messages_delivered > delivered_before
+        # Faults: one hook per injection, per retry, per counter.
+        c = cluster.faults.counters
+        assert c["faults_injected"] > 0 and c["retries"] > 0
+        assert counter.faults["faults_injected"] == c["faults_injected"]
+        assert counter.faults["retries"] == c["retries"]
+        # One finished round; every kind of device op was reported.
+        assert calls["round_finished"] == 1
+        assert all(calls[f"device_op/{op}"] > 0
+                   for op in ("kernel", "memcpy", "wire"))
+        assert calls["request_posted"] >= calls["mpi_matched"]
+        assert cluster.finalize().ok
+
+    def test_series_no_baseline_record_holds(self, monkeypatch):
+        counter, dd, cluster, _ = self._run(monkeypatch)
+        snap = cluster.metrics.snapshot()
+        # cuda.streams: bench records clear metrics after warm-up, so read
+        # it here, from a cluster that was never cleared.
+        streams = _series(snap, "cuda.streams")
+        assert counter.calls["stream_created"] > 0
+        assert sum(s["value"] for s in streams) == \
+            counter.calls["stream_created"]
+        # mpi.queue_depth: the peak per (side, rank) matches the stream.
+        peaks = {(s["labels"]["side"], s["labels"]["rank"]): s["max"]
+                 for s in _series(snap, "mpi.queue_depth")}
+        assert peaks == {(side, str(rank)): peak
+                         for (side, rank), peak in counter.peak.items()}
+        assert max(peaks.values()) > 0
+        # fault.* log events: one per counted fault finding.
+        log = Counter(e["event"] for e in cluster.metrics.events.events)
+        c = cluster.faults.counters
+        assert log["fault.injected"] == c["faults_injected"]
+        assert log["fault.retry"] == c["retries"]
+        injected = _series(snap, "faults.injected")
+        assert sum(s["value"] for s in injected) == c["faults_injected"]
+        # The tracer drew a zero-length fault span per fault finding.
+        spans = cluster.tracer.by_kind().get("fault", [])
+        assert len(spans) == cluster.faults.report.total
+        assert all(s.start == s.end for s in spans)
