@@ -36,6 +36,7 @@ from ..cuda.memory import DeviceBuffer, PinnedBuffer
 from ..cuda.stream import Stream
 from .halo import ALL_DIRECTIONS, Region
 from .packing import (
+    Action,
     direct_access_action,
     pack_action,
     self_exchange_action,
@@ -108,6 +109,14 @@ class Channel:
         self.group = None
         #: methods this channel lost to mid-run faults (degradation ladder)
         self.excluded: set = set()
+        self._drop_actions()
+
+    def _drop_actions(self) -> None:
+        """Forget the kernel actions; each is built again on first use."""
+        self._pack_action: Optional[Action] = None
+        self._unpack_action: Optional[Action] = None
+        self._selfx_action: Optional[Action] = None
+        self._direct_action: Optional[Action] = None
 
     @property
     def method(self) -> "ExchangeMethod":
@@ -159,6 +168,8 @@ class Channel:
         self.remote_buf = None
         self.handle_req = self.handle_send_req = None
         self.colo_copy = None
+        # The actions close over the freed buffers.
+        self._drop_actions()
         self.spec = new_method.spec
         self.setup_phase1()
 
@@ -176,11 +187,16 @@ class Channel:
         self.spec.enqueue_dst(self, ops)
 
     # -- halo kernels ---------------------------------------------------------------
+    # Each kernel's action is built on first use and reused every round;
+    # the buffers it closes over live as long as the channel's method.
+
     def pack_kernel(self) -> Task:
         """Gather the send region into the pack buffer (source stream)."""
+        if self._pack_action is None:
+            self._pack_action = pack_action(self.src.domain, self.send_reg,
+                                            self.pack_buf)
         return self.src.rank.ctx.launch_kernel(
-            self.s_src, self.nbytes,
-            action=pack_action(self.src.domain, self.send_reg, self.pack_buf),
+            self.s_src, self.nbytes, action=self._pack_action,
             what="pack", kind="pack",
             reads=[(self.src.domain.buffer, self.send_reg)],
             writes=[self.pack_buf])
@@ -189,19 +205,22 @@ class Channel:
         """Scatter the receive buffer into the destination halo
         (destination stream); ``gating`` holds launch_kernel's
         deps/gate_deps/ordered."""
+        if self._unpack_action is None:
+            self._unpack_action = unpack_action(self.dst.domain,
+                                                self.recv_reg, self.recv_buf)
         return self.dst.rank.ctx.launch_kernel(
-            self.s_dst, self.nbytes,
-            action=unpack_action(self.dst.domain, self.recv_reg,
-                                 self.recv_buf),
+            self.s_dst, self.nbytes, action=self._unpack_action,
             what="unpack", kind="unpack",
             reads=[self.recv_buf],
             writes=[(self.dst.domain.buffer, self.recv_reg)], **gating)
 
     def self_exchange_kernel(self) -> Task:
         """Copy the subdomain's own send region into its opposite halo."""
+        if self._selfx_action is None:
+            self._selfx_action = self_exchange_action(self.src.domain,
+                                                      self.direction)
         return self.src.rank.ctx.launch_kernel(
-            self.s_src, self.nbytes,
-            action=self_exchange_action(self.src.domain, self.direction),
+            self.s_src, self.nbytes, action=self._selfx_action,
             what="selfx", kind="kernel",
             reads=[(self.src.domain.buffer, self.send_reg)],
             writes=[(self.dst.domain.buffer, self.recv_reg)])
@@ -217,10 +236,12 @@ class Channel:
                + node.path_latency(a, b)
                + self.nbytes / (node.path_bandwidth(a, b)
                                 * cost.direct_access_efficiency))
+        if self._direct_action is None:
+            self._direct_action = direct_access_action(
+                self.src.domain, self.send_reg, self.dst.domain,
+                self.recv_reg)
         return self.src.rank.ctx.launch_kernel(
-            self.s_dst, self.nbytes,
-            action=direct_access_action(self.src.domain, self.send_reg,
-                                        self.dst.domain, self.recv_reg),
+            self.s_dst, self.nbytes, action=self._direct_action,
             what="directx", kind="kernel", duration=dur,
             extra_resources=node.path_resources(a, b),
             reads=[(self.src.domain.buffer, self.send_reg)],

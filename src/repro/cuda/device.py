@@ -8,6 +8,8 @@ concurrency:
   honest model even though real GPUs multiplex blocks.
 * ``copy_d2h`` / ``copy_h2d`` — the two async copy engines of a V100; one
   transfer per direction at a time, both directions concurrently.
+  ``kernel_set``, ``d2h_set`` and ``h2d_set`` are the resource sets a
+  kernel or staging copy holds, built once per device.
 * ``default_stream`` — held by CUDA-aware MPI operations, reproducing the
   library behaviour the paper profiled (§IV-D): device-buffer sends
   serialize against each other and against anything else the MPI runtime
@@ -52,6 +54,14 @@ class Device:
         self.copy_d2h = Resource(eng, f"{base}/d2h", capacity=1)
         self.copy_h2d = Resource(eng, f"{base}/h2d", capacity=1)
         self.default_stream_res = Resource(eng, f"{base}/stream0", capacity=1)
+        # Resource sets shared by every kernel and staging copy of this
+        # device: a kernel holds the kernel engine, a D2H/H2D copy its
+        # copy engine plus the routed path to or from its socket.
+        self.kernel_set = (self.kernel_engine,)
+        self.d2h_set = (self.copy_d2h, *node.path_resources(
+            self.component, self.cpu_component))
+        self.h2d_set = (self.copy_h2d, *node.path_resources(
+            self.cpu_component, self.component))
         self._peer_enabled: Set[int] = set()
         self.streams: List["Stream"] = []
 

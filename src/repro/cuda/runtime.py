@@ -15,6 +15,7 @@ the node topology's link properties.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..errors import CudaError, PeerAccessError
@@ -47,6 +48,8 @@ class CudaContext:
     def __init__(self, cluster: "SimCluster", cpu: Resource, lane: str) -> None:
         self.cluster = cluster
         self.cpu = cpu
+        #: the resource set of every call, shared by all of them
+        self._cpu_set = (cpu,)
         self.lane = lane
         self.id = next(_ctx_ids)
         self._cpu_tail: Optional[Task] = None
@@ -81,7 +84,7 @@ class CudaContext:
         if ordered and self._cpu_tail is not None:
             all_deps.append(self._cpu_tail)
         t = self._task(name=self._label(what), duration=cost,
-                       resources=(self.cpu,), deps=all_deps,
+                       resources=self._cpu_set, deps=all_deps,
                        lane=self.lane, kind="issue")
         for o in self.cluster.engine.observers:
             o.api_call(self, what)
@@ -172,23 +175,24 @@ class CudaContext:
         if duration is None:
             rate = dev.spec.internal_bandwidth * cost.pack_efficiency
             duration = cost.kernel_launch_overhead + nbytes / rate
+        resources = (dev.kernel_set if not extra_resources
+                     else (dev.kernel_engine, *extra_resources))
         faults = self.cluster.faults
         if faults is not None:
             # Straggler GPUs: kernel durations stretch while the device's
             # engines are degraded (fault windows write bandwidth_scale).
-            duration = faults.scaled_duration(
-                duration, (dev.kernel_engine, *extra_resources))
+            duration = faults.scaled_duration(duration, resources)
         issue = self.issue(what, deps=deps, ordered=ordered)
         op_deps: list[Dep] = [issue, *gate_deps]
         if stream.tail is not None:
             op_deps.append(stream.tail)
-        t = self._task(name=self._label(what), duration=duration,
-                       resources=(dev.kernel_engine, *extra_resources),
-                       deps=op_deps,
-                       action=action, lane=dev.lane, kind=kind, bytes=nbytes)
+        t = Task(self.cluster.engine, name=self._label(what),
+                 duration=duration, resources=resources, deps=op_deps,
+                 action=action, lane=dev.lane, kind=kind, bytes=nbytes)
         stream.chain(t)
         for o in self.cluster.engine.observers:
             o.device_op(t, "kernel", reads, writes)
+        t.submit()
         return t
 
     # -- copies -----------------------------------------------------------------------
@@ -228,13 +232,14 @@ class CudaContext:
         op_deps: list[Dep] = [issue]
         if stream.tail is not None:
             op_deps.append(stream.tail)
-        t = self._task(name=self._label(what), duration=duration,
-                       resources=resources, deps=op_deps,
-                       action=lambda: dst.copy_from(src),
-                       lane=stream.device.lane, kind=kind, bytes=src.nbytes)
+        t = Task(self.cluster.engine, name=self._label(what),
+                 duration=duration, resources=resources, deps=op_deps,
+                 action=partial(dst.copy_from, src),
+                 lane=stream.device.lane, kind=kind, bytes=src.nbytes)
         stream.chain(t)
         for o in self.cluster.engine.observers:
             o.device_op(t, "memcpy", (src,), (dst,))
+        t.submit()
         return t
 
     def _copy_d2h(self, dst: PinnedBuffer, src: DeviceBuffer,
@@ -245,12 +250,11 @@ class CudaContext:
             raise CudaError("D2H copy to a pinned buffer on another node")
         cost = self.cluster.cost
         node = dev.node
-        path = node.path_resources(dev.component, dev.cpu_component)
         bw = node.path_bandwidth(dev.component, dev.cpu_component)
         dur = (node.path_latency(dev.component, dev.cpu_component)
                + src.nbytes / (bw * cost.staging_efficiency))
         return self._enqueue_copy(dst, src, stream, what, "d2h",
-                                  [dev.copy_d2h, *path], dur, deps, ordered)
+                                  dev.d2h_set, dur, deps, ordered)
 
     def _copy_h2d(self, dst: DeviceBuffer, src: PinnedBuffer,
                   stream: Stream, what: str, deps,
@@ -260,12 +264,11 @@ class CudaContext:
             raise CudaError("H2D copy from a pinned buffer on another node")
         cost = self.cluster.cost
         node = dev.node
-        path = node.path_resources(dev.cpu_component, dev.component)
         bw = node.path_bandwidth(dev.cpu_component, dev.component)
         dur = (node.path_latency(dev.cpu_component, dev.component)
                + src.nbytes / (bw * cost.staging_efficiency))
         return self._enqueue_copy(dst, src, stream, what, "h2d",
-                                  [dev.copy_h2d, *path], dur, deps, ordered)
+                                  dev.h2d_set, dur, deps, ordered)
 
     def _copy_d2d_local(self, dst: DeviceBuffer, src: DeviceBuffer,
                         stream: Stream, what: str, deps,
@@ -273,7 +276,7 @@ class CudaContext:
         dev = src.device
         dur = src.nbytes / dev.spec.internal_bandwidth
         return self._enqueue_copy(dst, src, stream, what, "kernel",
-                                  [dev.kernel_engine], dur, deps, ordered)
+                                  dev.kernel_set, dur, deps, ordered)
 
     def memcpy_peer_async(self, dst: DeviceBuffer, src: DeviceBuffer,
                           stream: Stream, what: str = "memcpyPeer",
@@ -310,11 +313,11 @@ class CudaContext:
         bw = node.path_bandwidth(sdev.component, ddev.component)
         lat = node.path_latency(sdev.component, ddev.component)
         if sdev.peer_enabled(ddev) or ddev.peer_enabled(sdev):
-            resources = [*path]
+            resources = path
             dur = lat + src.nbytes / (bw * cost.peer_efficiency)
         else:
             # Driver-staged bounce through the host.
-            resources = [sdev.copy_d2h, ddev.copy_h2d, *path]
+            resources = (sdev.copy_d2h, ddev.copy_h2d, *path)
             dur = lat + src.nbytes / (bw * 0.5 * cost.peer_efficiency)
         return self._enqueue_copy(dst, src, stream, what, "peer", resources,
                                   dur, deps, ordered)

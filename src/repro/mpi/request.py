@@ -40,7 +40,8 @@ class Request:
         self.status: Optional[Status] = None
         #: for object (pickled) receives, the delivered Python object
         self.data: Any = None
-        self._callbacks: List[Callable[["Request"], None]] = []
+        #: completion callbacks, allocated on first use
+        self._callbacks: Optional[List[Callable[["Request"], None]]] = None
 
     @property
     def completed(self) -> bool:
@@ -57,6 +58,8 @@ class Request:
         """Run ``fn(request)`` when the request completes (or now if done)."""
         if self._completed:
             fn(self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
@@ -72,9 +75,10 @@ class Request:
         if data is not None:
             self.data = data
         self.signal.fire(engine, source=source)
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks is not None:
+            for fn in callbacks:
+                fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Request({self.kind}, {self.label!r}, done={self._completed})"

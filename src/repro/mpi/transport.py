@@ -26,7 +26,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Deque, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import (ExchangeTimeoutError, MpiError,
                       TransientTransportError, TruncationError)
@@ -44,7 +46,7 @@ OBJECT_NBYTES = 256
 _xfer_seq = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class _SendEntry:
     request: Request
     rank: "Rank"
@@ -56,8 +58,12 @@ class _SendEntry:
     inject: Optional[Task] = None     # eager: set once the payload is in flight
     posted_at: float = 0.0            # stamped when the transport takes it
 
+    def issued(self, _call: Task) -> None:
+        """The ``Isend`` call ran: hand the send to the transport."""
+        self.rank.world.transport.submit_send(self)
 
-@dataclass
+
+@dataclass(slots=True)
 class _RecvEntry:
     request: Request
     rank: "Rank"
@@ -68,11 +74,26 @@ class _RecvEntry:
     issue: Task
     posted_at: float = 0.0            # stamped when the transport takes it
 
+    def issued(self, _call: Task) -> None:
+        """The ``Irecv`` call ran: post the receive to the transport."""
+        self.rank.world.transport.post_recv(self)
+
 
 def _payload_nbytes(payload: Any) -> int:
     if isinstance(payload, BUFFERS):
         return payload.nbytes
     return OBJECT_NBYTES
+
+
+def _copy_prefix(dst, src, n: int) -> None:
+    """Wire action: copy the first ``n`` bytes of ``src`` into ``dst``
+    (a partial fill of the receive buffer is allowed)."""
+    dst.check_alive()
+    src.check_alive()
+    if dst.array is not None and src.array is not None:
+        db = dst.array.view("u1").reshape(-1)
+        sb = src.array.view("u1").reshape(-1)
+        db[:n] = sb[:n]
 
 
 class Transport:
@@ -82,6 +103,10 @@ class Transport:
         self.world = world
         self._sends: Dict[Tuple[int, int, int], Deque[_SendEntry]] = {}
         self._recvs: Dict[Tuple[int, int, int], Deque[_RecvEntry]] = {}
+        #: one shared resource set per (progress engine, progress engine)
+        #: or (NIC out, NIC in) pair, built on first use
+        self._pairs: Dict[Tuple[Resource, Resource],
+                          Tuple[Resource, Resource]] = {}
         #: completed wire transfers, for diagnostics
         self.messages_delivered = 0
         self.bytes_delivered = 0
@@ -179,12 +204,17 @@ class Transport:
             self._rendezvous(s, r)
 
     # route helpers ------------------------------------------------------------
+    def _pair(self, a: Resource, b: Resource) -> Tuple[Resource, Resource]:
+        """The resource set ``(a, b)``, one tuple per pair."""
+        pair = (a, b)
+        return self._pairs.setdefault(pair, pair)
+
     def _host_route(self, s: _SendEntry, r: _RecvEntry
-                    ) -> Tuple[List[Resource], float, float]:
+                    ) -> Tuple[Sequence[Resource], float, float]:
         """(resources, bandwidth, latency) for a host-path message."""
         cost = self.world.cluster.cost
         src, dst = s.rank, r.rank
-        res: List[Resource] = [src.progress, dst.progress]
+        res = self._pair(src.progress, dst.progress)
         if src is dst:
             return res, cost.self_copy_bandwidth, 0.3e-6
         if src.node is dst.node:
@@ -195,7 +225,7 @@ class Transport:
         # rank's intra-node shm copies).  The NIC rails are the contended
         # resources.
         net = self.world.cluster.machine.network
-        res = [src.node.nic_out, dst.node.nic_in]
+        res = self._pair(src.node.nic_out, dst.node.nic_in)
         lat = (cost.shm_latency + net.fabric_latency
                + 2 * cost.mpi_message_overhead)
         return res, net.nic_port_bandwidth, lat
@@ -254,16 +284,16 @@ class Transport:
     # protocols ---------------------------------------------------------------
     def _make_task(self, label: str, duration: float, resources, deps,
                    action, lane: str, nbytes: int) -> Task:
+        """A wire task, not yet submitted: a device op is announced
+        before its task is submitted."""
         faults = self.world.cluster.faults
         if faults is not None:
             # Link degradation: the duration is stretched by the worst
             # bandwidth_scale among the resources, sampled at creation.
             duration = faults.scaled_duration(duration, resources)
-        t = Task(self.world.cluster.engine, name=label, duration=duration,
-                 resources=resources, deps=deps, action=action, lane=lane,
-                 kind="mpi", bytes=nbytes)
-        t.submit()
-        return t
+        return Task(self.world.cluster.engine, name=label, duration=duration,
+                    resources=resources, deps=deps, action=action, lane=lane,
+                    kind="mpi", bytes=nbytes)
 
     def _apply_verdict(self, verdict: str, s: _SendEntry) -> None:
         """Raise on verdicts that spoil this wire attempt.
@@ -301,6 +331,7 @@ class Transport:
         except TransientTransportError:
             lost = self._make_task(name, dur, res, deps, None, lane, s.nbytes)
             self._annotate_transfer(lost, s)  # payload read; nothing written
+            lost.submit()
 
             def resend(_t: Task) -> None:
                 if attempt < faults.plan.max_retries:
@@ -317,15 +348,16 @@ class Transport:
             return
         wire = self._make_task(name, dur, res, deps,
                                self._copy_action(s, r), lane, s.nbytes)
-        wire.on_complete(
-            lambda t: self._finish(s, r, complete_send=complete_send, source=t))
         self._annotate_transfer(wire, s, r)
+        wire.submit()
+        wire.on_complete(partial(self._finish, s, r, complete_send))
         if verdict == "duplicate":
             # Phantom second delivery: occupies the same path again but is
             # idempotent — the receiver discards it (no action, no
             # annotation, no completion), so only timing is perturbed.
-            self._make_task(f"{label}~dup", dur, res, deps, None,
-                            lane, s.nbytes)
+            dup = self._make_task(f"{label}~dup", dur, res, deps, None,
+                                 lane, s.nbytes)
+            dup.submit()
 
     def _finish(self, s: _SendEntry, r: _RecvEntry,
                 complete_send: bool, source: Optional[Task] = None) -> None:
@@ -343,17 +375,7 @@ class Transport:
 
     def _copy_action(self, s: _SendEntry, r: _RecvEntry):
         if isinstance(s.payload, BUFFERS) and isinstance(r.payload, BUFFERS):
-            src, dst, n = s.payload, r.payload, s.nbytes
-
-            def action() -> None:
-                # Partial fill is allowed: copy the sent prefix.
-                dst.check_alive()
-                src.check_alive()
-                if dst.array is not None and src.array is not None:
-                    db = dst.array.view("u1").reshape(-1)
-                    sb = src.array.view("u1").reshape(-1)
-                    db[:n] = sb[:n]
-            return action
+            return partial(_copy_prefix, r.payload, s.payload, s.nbytes)
         return None
 
     def _annotate_transfer(self, task: Task, s: _SendEntry,
@@ -388,16 +410,21 @@ class Transport:
     def _eager_inject(self, s: _SendEntry) -> None:
         """Start an eager payload toward the receiver; completes the send."""
         cost = self.world.cluster.cost
-        eng = self.world.cluster.engine
         res, bw, lat = self._eager_route(s)
         dur = cost.mpi_message_overhead + lat + s.nbytes / bw
         inject = self._make_task(
             f"mpi-eager:{s.request.label}", dur, res, [s.issue],
             None, f"{s.rank.lane}/mpi", s.nbytes)
-        inject.on_complete(lambda t: s.request._complete(
-            eng, Status(s.rank.index, s.tag, s.nbytes), source=t))
         self._annotate_transfer(inject, s)
+        inject.submit()
+        inject.on_complete(partial(self._injected, s))
         s.inject = inject
+
+    def _injected(self, s: _SendEntry, inject: Task) -> None:
+        """An eager payload left the sender: the send request completes."""
+        s.request._complete(self.world.cluster.engine,
+                            Status(s.rank.index, s.tag, s.nbytes),
+                            source=inject)
 
     def _eager_deliver(self, s: _SendEntry, r: _RecvEntry) -> None:
         """Copy an injected eager payload into the posted receive buffer."""
@@ -438,8 +465,9 @@ class Transport:
             start = self._make_task(
                 f"mpi-rts:{s.request.label}",
                 cost.mpi_message_overhead + cost.rendezvous_rtt,
-                [s.rank.progress, r.rank.progress], deps, None,
+                self._pair(s.rank.progress, r.rank.progress), deps, None,
                 f"{s.rank.lane}/mpi", 0)
+            start.submit()
             deps = [start]
             dur = lat + extra + s.nbytes / bw
         else:

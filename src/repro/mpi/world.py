@@ -92,7 +92,7 @@ class Rank:
         entry = _SendEntry(request=req, rank=self, dest=dest, tag=tag,
                            payload=payload, nbytes=_payload_nbytes(payload),
                            issue=issue)
-        issue.on_complete(lambda _t: self.world.transport.submit_send(entry))
+        issue.on_complete(entry.issued)
         return req
 
     def irecv(self, payload: Any, source: int, tag: int,
@@ -108,7 +108,7 @@ class Rank:
         capacity = payload.nbytes if isinstance(payload, BUFFERS) else 0
         entry = _RecvEntry(request=req, rank=self, source=source, tag=tag,
                            payload=payload, capacity=capacity, issue=issue)
-        issue.on_complete(lambda _t: self.world.transport.post_recv(entry))
+        issue.on_complete(entry.issued)
         return req
 
     def wait(self, request: Request) -> None:

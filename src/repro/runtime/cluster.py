@@ -74,6 +74,8 @@ class SimNode:
                                    bandwidth=net.nic_port_bandwidth)
         else:
             self.nic_out = self.nic_in = None
+        #: the resource tuple of each routed path, built on first use
+        self._path_res: Dict[Tuple[str, str], Tuple[Resource, ...]] = {}
         # Devices are created by the cluster after nodes exist (the Device
         # class lives in repro.cuda, which imports this module's types).
         self.devices: List["Device"] = []  # noqa: F821 - set by SimCluster
@@ -87,15 +89,21 @@ class SimNode:
             raise ConfigurationError(
                 f"no link between {src} and {dst} on node {self.index}") from None
 
-    def path_resources(self, a: str, b: str) -> List[Resource]:
-        """Directional resources along the routed path a→b (may be empty)."""
-        out: List[Resource] = []
-        cur = a
-        for link in self.topology.path(a, b):
-            nxt = link.other(cur)
-            out.append(self.link_resource(cur, nxt))
-            cur = nxt
-        return out
+    def path_resources(self, a: str, b: str) -> Tuple[Resource, ...]:
+        """Directional resources along the routed path a→b (may be empty).
+
+        One tuple per path, shared by every operation that takes it.
+        """
+        path = self._path_res.get((a, b))
+        if path is None:
+            out: List[Resource] = []
+            cur = a
+            for link in self.topology.path(a, b):
+                nxt = link.other(cur)
+                out.append(self.link_resource(cur, nxt))
+                cur = nxt
+            path = self._path_res[(a, b)] = tuple(out)
+        return path
 
     def path_bandwidth(self, a: str, b: str) -> float:
         """Min link bandwidth along the routed path a→b."""

@@ -108,9 +108,9 @@ class Resource:
         """Fraction of time at least one slot was held."""
         total = self.busy_time
         if self._last_busy_start is not None:
-            total += self.engine.now - self._last_busy_start
+            total += self.engine._now - self._last_busy_start
         if elapsed is None:
-            elapsed = self.engine.now
+            elapsed = self.engine._now
         return total / elapsed if elapsed > 0 else 0.0
 
     # -- internal occupancy bookkeeping -------------------------------------
@@ -118,7 +118,7 @@ class Resource:
         if self._in_use >= self.capacity:
             raise SimulationError(f"over-acquired resource {self.name}")
         if self._in_use == 0:
-            self._last_busy_start = self.engine.now
+            self._last_busy_start = self.engine._now
         self._in_use += 1
 
     def _vacate(self) -> None:
@@ -126,7 +126,7 @@ class Resource:
             raise SimulationError(f"over-released resource {self.name}")
         self._in_use -= 1
         if self._in_use == 0 and self._last_busy_start is not None:
-            start, now = self._last_busy_start, self.engine.now
+            start, now = self._last_busy_start, self.engine._now
             self.busy_time += now - start
             self._last_busy_start = None
             for o in self.engine.observers:
@@ -175,7 +175,7 @@ class AcquireRequest:
 
     def _grant(self, engine: Engine) -> None:
         self.granted = True
-        self.grant_time = engine.now
+        self.grant_time = engine._now
         if self.request_time is not None:
             waited = self.grant_time - self.request_time
             if waited > 0.0:
@@ -212,20 +212,26 @@ def acquire(engine: Engine, resources: Sequence[Resource],
 
     Duplicate resources in the set are collapsed (an op never needs two
     slots of the same resource here).  Requests with an empty resource set
-    are granted immediately.
+    are granted immediately.  A tuple without duplicates is adopted as
+    is: resource sets are shared values, owned by whatever owns the
+    resources (a rank's CPU, a device's engines, a node's routed paths).
     """
-    # Deduplicate while preserving a deterministic order.
-    seen: Dict[int, Resource] = {}
-    for r in resources:
-        seen.setdefault(r._id, r)
-    req = AcquireRequest(tuple(seen.values()), on_grant, label)
-    req.request_time = engine.now
-    blocked = tuple(r for r in req.resources if r._in_use >= r.capacity)
-    if blocked:
-        req.blocked_on = blocked
-        blocked[0]._waiters[req.seq] = req
-    else:
-        req._grant(engine)
+    if len(resources) > 1:
+        # Deduplicate while preserving a deterministic order.
+        seen: Dict[int, Resource] = {}
+        for r in resources:
+            seen.setdefault(r._id, r)
+        if len(seen) < len(resources):
+            resources = tuple(seen.values())
+    req = AcquireRequest(resources, on_grant, label)
+    req.request_time = engine._now
+    for r in req.resources:
+        if r._in_use >= r.capacity:
+            req.blocked_on = tuple(
+                b for b in req.resources if b._in_use >= b.capacity)
+            r._waiters[req.seq] = req
+            return req
+    req._grant(engine)
     return req
 
 
@@ -236,11 +242,16 @@ def _wake_waiters(engine: Engine, released: Iterable[Resource]) -> None:
     is granted if every resource in its set has a free slot, and otherwise
     parked again on the first that has none (see "Grant policy").
     """
-    candidates: Dict[int, AcquireRequest] = {}
+    candidates: Optional[Dict[int, AcquireRequest]] = None
     for r in released:
         if r._waiters:
-            candidates.update(r._waiters)
-            r._waiters.clear()
+            if candidates is None:
+                candidates, r._waiters = r._waiters, {}
+            else:
+                candidates.update(r._waiters)
+                r._waiters.clear()
+    if candidates is None:
+        return
     for seq in sorted(candidates):
         w = candidates[seq]
         for r in w.resources:

@@ -28,6 +28,18 @@ _task_ids = itertools.count()
 Dep = Union["Task", "Signal"]
 
 
+def _notify(dependents, engine: Engine) -> None:
+    """Tell a completed dependency's dependents: ``None``, one task, or a
+    list of two or more (the representation :meth:`Task.add_dep` builds)."""
+    if dependents is None:
+        return
+    if dependents.__class__ is list:
+        for t in dependents:
+            t._dep_completed(engine)
+    else:
+        dependents._dep_completed(engine)
+
+
 class Signal:
     """A manually-completed dependency (a one-shot future).
 
@@ -42,8 +54,8 @@ class Signal:
         self.name = name
         self.completed = False
         self.completion_time: Optional[float] = None
-        #: tasks waiting on this signal; an empty tuple once it has fired
-        self._dependents: Sequence["Task"] = []
+        #: tasks waiting on this signal (see :meth:`Task.add_dep`)
+        self._dependents: Union[None, "Task", List["Task"]] = None
         #: the task whose completion fired this signal, when known — lets
         #: critical-path walks continue through request/condition boundaries
         self.source: Optional["Task"] = None
@@ -55,12 +67,11 @@ class Signal:
         if self.completed:
             raise SimulationError(f"signal fired twice: {self.name}")
         self.completed = True
-        self.completion_time = engine.now
+        self.completion_time = engine._now
         if source is not None:
             self.source = source
-        dependents, self._dependents = self._dependents, ()
-        for t in dependents:
-            t._dep_completed(engine)
+        dependents, self._dependents = self._dependents, None
+        _notify(dependents, engine)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Signal({self.name!r}, completed={self.completed})"
@@ -119,8 +130,8 @@ class Task:
         self.kind = kind
         self.bytes = bytes
         self._id = next(_task_ids)
-        #: tasks waiting on this one; an empty tuple once it has completed
-        self._dependents: Sequence[Task] = []
+        #: tasks waiting on this one (see :meth:`add_dep`)
+        self._dependents: Union[None, Task, List[Task]] = None
         #: completion callbacks, allocated on first use
         self._callbacks: Optional[List[Callable[["Task"], None]]] = None
         self.submitted = False
@@ -138,7 +149,12 @@ class Task:
 
     # -- graph construction ---------------------------------------------------
     def add_dep(self, dep: Dep) -> None:
-        """Add a dependency.  Must be called before :meth:`submit`."""
+        """Add a dependency.  Must be called before :meth:`submit`.
+
+        A pending dependency holds its dependents as ``None``, the one
+        task, or a list once there are two or more: most tasks have a
+        single dependent, which then costs no list.
+        """
         if self.submitted:
             raise SimulationError(f"add_dep after submit: {self.name}")
         if dep is None:
@@ -153,7 +169,13 @@ class Task:
             self._deps.append(dep)
         if dep.completed:
             return
-        dep._dependents.append(self)
+        dependents = dep._dependents
+        if dependents is None:
+            dep._dependents = self
+        elif dependents.__class__ is list:
+            dependents.append(self)
+        else:
+            dep._dependents = [dependents, self]
         self._remaining_deps += 1
 
     def on_complete(self, fn: Callable[["Task"], None]) -> None:
@@ -183,7 +205,7 @@ class Task:
             self._acquire()
 
     def _acquire(self) -> None:
-        self.eligible_time = self.engine.now
+        self.eligible_time = self.engine._now
         self._request = acquire(self.engine, self.resources, self._start,
                                 label=self.name)
 
@@ -211,7 +233,7 @@ class Task:
 
     def _start(self) -> None:
         self.started = True
-        self.start_time = self.engine.now
+        self.start_time = self.engine._now
         for o in self.engine.observers:
             o.task_started(self)
         self.engine.schedule(self.duration, self._finish)
@@ -220,7 +242,7 @@ class Task:
         assert self._request is not None
         self._request.release()
         self.completed = True
-        self.completion_time = self.engine.now
+        self.completion_time = self.engine._now
         if self.action is not None:
             self.action()
         for o in self.engine.observers:
@@ -229,9 +251,8 @@ class Task:
         if callbacks is not None:
             for cb in callbacks:
                 cb(self)
-        dependents, self._dependents = self._dependents, ()
-        for t in dependents:
-            t._dep_completed(self.engine)
+        dependents, self._dependents = self._dependents, None
+        _notify(dependents, self.engine)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = ("done" if self.completed else

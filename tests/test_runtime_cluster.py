@@ -56,7 +56,7 @@ class TestSimNode:
         assert "xbus" in res[1].name
 
     def test_path_resources_empty_for_self(self, cluster):
-        assert cluster.nodes[0].path_resources("gpu0", "gpu0") == []
+        assert cluster.nodes[0].path_resources("gpu0", "gpu0") == ()
 
     def test_nic_rails_capacity(self, cluster):
         node = cluster.nodes[0]

@@ -1,15 +1,19 @@
-"""A simulated round leaves no reference cycles, and memory stays flat.
+"""A simulated round leaves no reference cycles, memory stays flat, and
+the round's DAG is lean.
 
 Every object a round creates (tasks, signals, acquire requests, MPI
 requests) must be freed by reference counting alone once the round is
 over, so the cyclic garbage collector finds nothing to collect and the
-number of live objects does not grow from round to round.
+number of live objects does not grow from round to round.  While the
+round is live, each task keeps few GC-tracked containers alive, so the
+collections that allocation triggers have little to traverse.
 """
 
 import gc
 
 from repro.bench.config import parse_config
 from repro.bench.harness import build_domain
+from repro.sim import Engine, Task
 
 
 def test_rounds_leave_no_cycles_and_flat_memory():
@@ -32,3 +36,43 @@ def test_rounds_leave_no_cycles_and_flat_memory():
         if was_enabled:
             gc.enable()
     assert abs(live_round20 - live_round2) <= 0.01 * live_round2
+
+
+def test_round_dag_holds_few_containers_per_task(monkeypatch):
+    # A round's DAG is mostly built before the engine runs it.  Each task
+    # should add few GC-tracked containers of its own: shared resource
+    # sets, no dependents list for a single dependent, kernel actions
+    # built once per channel.
+    dd, _ = build_domain(parse_config("2n/2r/2g/128/ca"), sanitize=False,
+                         metrics=False)
+    dd.exchange()
+    dd.exchange()
+    created = [0]
+    init = Task.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created[0] += 1
+        init(self, *args, **kwargs)
+
+    at_run = []
+    run = Engine.run
+
+    def census_run(self, *args, **kwargs):
+        if not at_run:
+            at_run.append((len(gc.get_objects()), created[0]))
+        return run(self, *args, **kwargs)
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monkeypatch.setattr(Task, "__init__", counting_init)
+        monkeypatch.setattr(Engine, "run", census_run)
+        before = len(gc.get_objects())
+        dd.exchange()
+    finally:
+        if was_enabled:
+            gc.enable()
+    live, tasks = at_run[0]
+    assert tasks > 500
+    assert (live - before) / tasks <= 3.0

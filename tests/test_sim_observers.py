@@ -85,6 +85,25 @@ class SemanticCounter(Observer):
         self.calls["round_finished"] += 1
 
 
+class AnnotationOrder(Observer):
+    """Checks each device op is announced before its task is submitted,
+    hence before it can start: the race detector checks a task's accesses
+    when it starts."""
+
+    def __init__(self):
+        self.started = set()
+        self.annotated = 0
+        self.late = []
+
+    def task_started(self, task):
+        self.started.add(task)
+
+    def device_op(self, task, op, reads, writes):
+        self.annotated += 1
+        if task in self.started or task.submitted:
+            self.late.append((op, task.name))
+
+
 def _series(snapshot, name):
     return snapshot.get(name, {"series": []})["series"]
 
@@ -170,13 +189,13 @@ class TestSemanticEvents:
         {"kind": "drop", "match": "s", "probability": 0.05,
          "max_times": 1000}]}
 
-    def _run(self, monkeypatch):
+    def _run(self, monkeypatch, counter=None):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         cluster = SimCluster.create(summit_machine(2, n_gpus=2), trace=True,
                                     metrics=True, sanitize=True,
                                     faults=self.PLAN)
         # Subscribed before any world or stream exists: it hears set-up too.
-        counter = SemanticCounter()
+        counter = counter or SemanticCounter()
         cluster.engine.observers.append(counter)
         world = MpiWorld.create(cluster, ranks_per_node=2, cuda_aware=True)
         dd = DistributedDomain(world, size=(128, 128, 128),
@@ -209,6 +228,14 @@ class TestSemanticEvents:
         assert all(calls[f"device_op/{op}"] > 0
                    for op in ("kernel", "memcpy", "wire"))
         assert calls["request_posted"] >= calls["mpi_matched"]
+        assert cluster.finalize().ok
+
+    def test_device_ops_announced_before_submit(self, monkeypatch):
+        # Kernels, copies and wire transfers (retries included) report
+        # their accesses before submit(), so no task can start first.
+        order, _, cluster, _ = self._run(monkeypatch, AnnotationOrder())
+        assert order.annotated > 0
+        assert order.late == []
         assert cluster.finalize().ok
 
     def test_series_no_baseline_record_holds(self, monkeypatch):
