@@ -30,7 +30,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
 from ..dim3 import Dim3
 from ..errors import DeadlockError, ExchangeTimeoutError
 from ..sim import Task
-from ..sim.profile import CriticalPathReport, critical_path_report
+from ..sim.profile import CriticalPathReport, DepRecorder, critical_path_report
 from ..sim.tasks import Dep
 from .channels import Channel, RoundOps
 from .consolidation import ConsolidatedGroup
@@ -267,20 +267,21 @@ class ExchangePlan:
                      profile: bool = False) -> ExchangeResult:
         """Execute one barrier-timed halo exchange to completion.
 
-        With ``profile=True`` the round retains its task DAG and the result
-        carries an :class:`ExchangeProfile`: the critical path from the
-        slowest rank's completion join, attributed per phase and resource
-        class (service vs queueing time).
+        With ``profile=True`` a :class:`DepRecorder` keeps the round's
+        dependency edges and the result carries an :class:`ExchangeProfile`:
+        the critical path from the slowest rank's completion join,
+        attributed per phase and resource class (service vs queueing time).
         """
         assert self._setup_done, "call setup() before run_exchange()"
+        if not profile:
+            return self._run_exchange(overlap_launcher, None)
         engine = self.dd.cluster.engine
-        retain_before = engine.retain_dag
-        if profile:
-            engine.retain_dag = True
+        recorder = DepRecorder(engine)
+        engine.observers.append(recorder)
         try:
-            return self._run_exchange(overlap_launcher, profile)
+            return self._run_exchange(overlap_launcher, recorder)
         finally:
-            engine.retain_dag = retain_before
+            engine.observers.remove(recorder)
 
     def _stuck_detail(self, joins: Dict[int, Task],
                       ops: List[RoundOps]) -> str:
@@ -306,7 +307,7 @@ class ExchangePlan:
         return out
 
     def _run_exchange(self, overlap_launcher: Optional[OverlapLauncher],
-                      profile: bool) -> ExchangeResult:
+                      recorder: Optional[DepRecorder]) -> ExchangeResult:
         dd = self.dd
         world = dd.world
         faults = dd.cluster.faults
@@ -380,12 +381,11 @@ class ExchangePlan:
                 dd.cluster.engine.cancel(deadline_id)
         stuck = {i: j for i, j in joins.items() if not j.completed}
         if stuck:
-            from ..sanitize.deadlock import explain_stuck
             um = self.dd.world.transport.unmatched()
             msg = (f"exchange never completed on ranks "
                    f"{[f'r{i}' for i in stuck][:8]}; "
                    f"unmatched MPI ops: {um[:8]}")
-            detail = explain_stuck(list(stuck.values()))
+            detail = dd.cluster.explain_stuck(list(stuck.values()))
             if detail:
                 msg += "\nwait-for chains:\n" + detail
             raise DeadlockError(msg)
@@ -394,12 +394,12 @@ class ExchangePlan:
             barrier_join.completion_time,
             {i: j.completion_time for i, j in joins.items()})
         prof: Optional[ExchangeProfile] = None
-        if profile:
+        if recorder is not None:
             slowest = max(finishes, key=finishes.get)
             prof = ExchangeProfile(
                 critical_rank=slowest,
-                path=critical_path_report(joins[slowest], t_start=t0,
-                                          t_end=end))
+                path=critical_path_report(joins[slowest], recorder.deps,
+                                          t_start=t0, t_end=end))
         result = ExchangeResult(
             start=t0,
             end=end,

@@ -257,8 +257,7 @@ class SimCluster:
         if stuck:
             names = ", ".join(s.name for s in stuck[:8])
             msg = f"{len(stuck)} task(s) never completed, e.g.: {names}"
-            from ..sanitize.deadlock import explain_stuck
-            detail = explain_stuck(stuck)
+            detail = self.explain_stuck(stuck)
             if detail:
                 msg += "\nwait-for chains:\n" + detail
             unmatched = self.check_unmatched()
@@ -266,6 +265,12 @@ class SimCluster:
                 msg += "\nunmatched MPI messages: " + ", ".join(unmatched[:8])
             raise DeadlockError(msg)
         return t
+
+    def explain_stuck(self, stuck) -> str:
+        """Wait-for chains for ``stuck`` tasks (needs the sanitizer's edges)."""
+        from ..sanitize.deadlock import explain_stuck
+        san = self.sanitizer
+        return explain_stuck(stuck, None if san is None else san.hb.pending)
 
     # -- sanitizer --------------------------------------------------------------
     def finalize(self):

@@ -14,11 +14,11 @@ observation stream, whose events feed three checkers behind one
   finding: the allocator raises regardless, and the finding keeps the
   evidence (label, virtual time) when a layer above catches the error.
 
-Attaching sets ``engine.retain_dag`` (clocks need dependency edges).
-Every task start computes its happens-before clock and checks its
-declared accesses; every run to quiescence is a global synchronization
-fence that resets the epoch, which bounds memory across arbitrarily many
-exchange rounds.
+Every dependency edge waits in the clock tracker until its task starts,
+which computes the task's happens-before clock and checks its declared
+accesses; every run to quiescence is a global synchronization fence that
+resets the epoch and drops settled MPI requests, which bounds memory
+across arbitrarily many exchange rounds.
 
 Call :meth:`finalize` (or ``cluster.finalize()``) at the end of a run to
 materialize end-of-job findings — unmatched messages and leaked requests.
@@ -56,11 +56,12 @@ class Sanitizer(Observer):
         self.races = RaceDetector(self.hb, self.report)
         self.mpi = MpiChecker(self.report)
         self._finalized = False
-        # Clocks require dependency edges; the observer hooks task starts.
-        cluster.engine.retain_dag = True
         cluster.engine.observers.append(self)
 
     # -- engine observer protocol ----------------------------------------------
+    def dep_added(self, task: Task, dep) -> None:
+        self.hb.dep_added(task, dep)
+
     def task_started(self, task: Task) -> None:
         self.hb.task_started(task)
         self.races.task_started(task)
@@ -69,6 +70,7 @@ class Sanitizer(Observer):
         """Global sync fence: the driving thread observed full completion."""
         self.hb.reset_epoch()
         self.races.reset_epoch()
+        self.mpi.reset_epoch()
 
     # -- semantic events ---------------------------------------------------------
     def device_op(self, task: Task, op: str, reads, writes) -> None:

@@ -7,19 +7,17 @@ task's incomplete dependencies down to a root cause and renders one chain
 per stuck task — attached to :class:`~repro.errors.DeadlockError` messages
 so a hung exchange diagnoses itself.
 
-Dependency edges are only retained under ``engine.retain_dag`` (the
-sanitizer enables it); without them the walk degrades gracefully to naming
-the stuck tasks and suggesting ``sanitize=True``.
+Edges come from the sanitizer, which keeps those of not-started tasks;
+without it the walk degrades gracefully to naming the stuck tasks and
+suggesting ``sanitize=True``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Mapping, Optional, Sequence
 
 from ..sim.resources import Resource
-from ..sim.tasks import Signal, Task
-
-Dep = Union[Task, Signal]
+from ..sim.tasks import Dep, Signal, Task
 
 #: bound on chain length / chains rendered, to keep error messages readable
 MAX_DEPTH = 16
@@ -38,7 +36,7 @@ def _leaf_reason(t: Task) -> str:
     return "eligible but never started"
 
 
-def _chain_for(task: Task) -> str:
+def _chain_for(task: Task, deps: Mapping[Task, Sequence[Dep]]) -> str:
     parts: List[str] = []
     node: Dep = task
     seen = set()
@@ -50,7 +48,7 @@ def _chain_for(task: Task) -> str:
         if isinstance(node, Signal):
             parts.append(f"signal {node.name!r} never fired")
             break
-        pending = [d for d in node.deps if not d.completed]
+        pending = [d for d in deps.get(node, ()) if not d.completed]
         if not pending:
             parts.append(f"{node.name} ({_leaf_reason(node)})")
             break
@@ -60,14 +58,15 @@ def _chain_for(task: Task) -> str:
     return " <- waits ".join(parts)
 
 
-def explain_stuck(stuck: Sequence[Task]) -> str:
-    """One wait-for chain per stuck task, newline-separated."""
+def explain_stuck(stuck: Sequence[Task],
+                  deps: Optional[Mapping[Task, Sequence[Dep]]]) -> str:
+    """One wait-for chain per stuck task over ``deps``, newline-separated."""
     if not stuck:
         return ""
-    if not any(t.deps for t in stuck):
-        return ("wait-for graph unavailable (run with sanitize=True / "
-                "engine.retain_dag for dependency chains)")
-    lines = [_chain_for(t) for t in stuck[:MAX_CHAINS]]
+    if deps is None or not any(deps.get(t) for t in stuck):
+        return ("wait-for graph unavailable (run with sanitize=True for "
+                "dependency chains)")
+    lines = [_chain_for(t, deps) for t in stuck[:MAX_CHAINS]]
     if len(stuck) > MAX_CHAINS:
         lines.append(f"... and {len(stuck) - MAX_CHAINS} more stuck task(s)")
     return "\n".join("  " + ln for ln in lines)

@@ -16,8 +16,8 @@ flows through MPI request completion.
 Clocks are computed at task **start**, not creation: gated tasks depend on
 signals that have no source yet at creation time (e.g. a STAGED H2D gated
 on a receive that the wire transfer will later fire), and by start time
-every dependency is resolved.  This requires ``engine.retain_dag`` — the
-sanitizer turns it on when it attaches.
+every dependency is resolved, so each edge (``dep_added``) waits in
+:attr:`ClockTracker.pending` until its task starts.
 
 Memory is bounded by **epochs**: when the engine runs to quiescence, the
 single driving Python thread has observed completion of everything, which
@@ -25,14 +25,15 @@ is a genuine happens-before fence (the host analogue of
 ``cudaDeviceSynchronize`` + ``MPI_Waitall``).  The tracker then forgets all
 clocks and restarts bit allocation; a dependency on a pre-epoch task simply
 contributes nothing, and the race detector dropped pre-epoch access history
-at the same fence, so no comparison can reach across it.
+at the same fence, so no comparison can reach across it.  Pending edges
+stay: a signal attached before the fence may fire after it.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from ..sim.tasks import Signal, Task
+from ..sim.tasks import Dep, Signal, Task
 
 
 class ClockTracker:
@@ -41,14 +42,19 @@ class ClockTracker:
     def __init__(self) -> None:
         self._bits: Dict[Task, int] = {}     # started task -> bit index
         self._clocks: Dict[Task, int] = {}   # started task -> HB bitmask
+        #: dependency edges of tasks that have not started, in added order
+        self.pending: Dict[Task, List[Dep]] = {}
         self._next_bit = 0
         self.epoch = 0
 
     # -- recording ------------------------------------------------------------
+    def dep_added(self, task: Task, dep: Dep) -> None:
+        self.pending.setdefault(task, []).append(dep)
+
     def task_started(self, task: Task) -> int:
         """Assign ``task`` its bit and compute its clock; returns the clock."""
         clock = 0
-        for dep in task.deps:
+        for dep in self.pending.pop(task, ()):
             src = dep.source if isinstance(dep, Signal) else dep
             if src is None:
                 continue  # manually-fired signal: no HB through it
@@ -72,14 +78,9 @@ class ClockTracker:
             return True  # pre-epoch: ordered by the quiescence fence
         return bool((later_clock >> bit) & 1)
 
-    @property
-    def tracked(self) -> int:
-        """Tasks tracked in the current epoch (diagnostics)."""
-        return len(self._bits)
-
     # -- epochs ----------------------------------------------------------------
     def reset_epoch(self) -> None:
-        """Forget everything at a global quiescence fence."""
+        """Forget every clock at a global quiescence fence."""
         self._bits.clear()
         self._clocks.clear()
         self._next_bit = 0

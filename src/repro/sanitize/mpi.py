@@ -57,6 +57,11 @@ class MpiChecker:
                 time=rank.world.cluster.engine.now,
             ))
 
+    def reset_epoch(self) -> None:
+        """Forget completed requests already consumed: they can never leak."""
+        self._requests = [(r, k) for r, k in self._requests if not (
+            r._completed and (r.waited or r.observed or r.signal.consumed))]
+
     # -- match-time checks -----------------------------------------------------
     def on_match(self, send, recv, now: float) -> None:
         """Check a matched pair of transport entries."""

@@ -7,9 +7,9 @@ monotonically increasing sequence number, so two events at the same instant
 always fire in scheduling order.
 
 The engine also carries the simulation's one observation stream: every
-:class:`Observer` in :attr:`Engine.observers` hears each task start and
-finish, each resource going idle and each run to quiescence, plus the
-semantic events the cuda, mpi, exchange and fault layers report.
+:class:`Observer` in :attr:`Engine.observers` hears each dependency edge,
+task start and finish, resource going idle and run to quiescence, plus
+the semantic events the cuda, mpi, exchange and fault layers report.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ class Observer:
     """
 
     __slots__ = ()
+
+    def dep_added(self, task, dep) -> None:
+        """``task`` now depends on ``dep`` (which may have completed)."""
 
     def task_started(self, task) -> None:
         """``task`` was granted its resources and starts running now."""
@@ -97,7 +100,7 @@ class Engine:
     """
 
     __slots__ = ("_now", "_heap", "_seq", "_running", "_events_processed",
-                 "_cancelled", "retain_dag", "max_events", "observers")
+                 "_cancelled", "max_events", "observers")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -106,19 +109,14 @@ class Engine:
         self._running: bool = False
         self._events_processed: int = 0
         self._cancelled: set = set()
-        #: when True, tasks keep references to their dependencies so the
-        #: completed DAG can be walked afterwards (critical-path profiling).
-        #: Off by default: retaining edges pins every predecessor in memory,
-        #: which long sweeps (many exchange rounds) cannot afford.
-        self.retain_dag: bool = False
         #: livelock guard: when set, a single :meth:`run` call raises after
         #: dispatching this many events (a buggy self-rescheduling callback
         #: fails with a diagnostic instead of hanging the process).
         self.max_events: Optional[int] = None
-        #: subscribers notified of task starts/finishes, resources going
-        #: idle, runs to quiescence and the layers' semantic events (see
-        #: :class:`Observer`); empty by default, which makes observation
-        #: free.
+        #: subscribers notified of dependency edges, task starts/finishes,
+        #: resources going idle, runs to quiescence and the layers' semantic
+        #: events (see :class:`Observer`); empty by default, which makes
+        #: observation free.
         self.observers: List[Observer] = []
 
     # -- clock ----------------------------------------------------------------

@@ -17,10 +17,10 @@ chart, :func:`critical_path_report` states what fraction of the elapsed
 time each phase (pack / wire / unpack / stage / queue) and resource class
 accounts for.
 
-Walking requires the DAG to still exist: set ``engine.retain_dag = True``
-*before* submitting the tasks of interest (tasks only record dependency
-references while the flag is on).  Signals are traversed through their
-``source`` task when the firing side provided one (MPI requests do).
+Tasks keep no dependency edges: a :class:`DepRecorder` subscribed before
+the tasks are built records them (``run_exchange(profile=True)`` keeps one
+per round).  Signals are traversed through their ``source`` task when the
+firing side provided one (MPI requests do).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import classify_resource
+from .engine import Engine, Observer
 from .tasks import Dep, Signal, Task
 from .trace import merge_intervals
 
@@ -83,25 +84,40 @@ class PathSegment:
         return PHASE_OF_KIND.get(self.kind, "other")
 
 
-def _binding_dep(task: Task) -> Optional[Dep]:
-    """The dependency that completed last — the one that gated ``task``."""
+class DepRecorder(Observer):
+    """Keeps the edges added while subscribed, in added order, but not to
+    deps done before it was built (a walk stops at its window's start)."""
+
+    def __init__(self, engine: Engine) -> None:
+        self.since = engine.now
+        self.deps: Dict[Task, List[Dep]] = {}
+
+    def dep_added(self, task: Task, dep: Dep) -> None:
+        if not dep.completed or dep.completion_time >= self.since:
+            self.deps.setdefault(task, []).append(dep)
+
+
+def _binding_dep(task: Task, deps: Dict[Task, List[Dep]]) -> Optional[Dep]:
+    """The dependency that completed last — the one that gated ``task``
+    (the first added wins a tie)."""
     best: Optional[Dep] = None
     best_t = -1.0
-    for d in task.deps:
+    for d in deps.get(task, ()):
         t = d.completion_time
         if t is not None and t > best_t:
             best, best_t = d, t
     return best
 
 
-def critical_path(terminal: Task, t_start: float = 0.0) -> List[PathSegment]:
+def critical_path(terminal: Task, deps: Dict[Task, List[Dep]],
+                  t_start: float = 0.0) -> List[PathSegment]:
     """Segments of the longest-finishing chain ending at ``terminal``.
 
-    Walks dependency edges recorded under ``engine.retain_dag``; stops at
-    tasks that completed at or before ``t_start`` (e.g. the barrier that
-    opened the measurement window), at signals without a known ``source``,
-    and at tasks with no recorded dependencies.  Segments are returned in
-    chronological order.
+    Walks the dependency edges in ``deps`` (a :class:`DepRecorder`'s map);
+    stops at tasks that completed at or before ``t_start`` (e.g. the
+    barrier that opened the measurement window), at signals without a
+    known ``source``, and at tasks with no recorded dependencies.  Segments
+    are returned in chronological order.
     """
     segments: List[PathSegment] = []
     seen: set = set()
@@ -127,7 +143,7 @@ def critical_path(terminal: Task, t_start: float = 0.0) -> List[PathSegment]:
             eligible=eligible, start=start, end=end, bytes=cur.bytes,
             resources=tuple(r.name for r in cur.resources),
             blocked_on=tuple(r.name for r in cur.blocked_resources)))
-        cur = _binding_dep(cur)
+        cur = _binding_dep(cur, deps)
     segments.reverse()
     return segments
 
@@ -200,9 +216,10 @@ class CriticalPathReport:
         }
 
 
-def critical_path_report(terminal: Task, t_start: float = 0.0,
+def critical_path_report(terminal: Task, deps: Dict[Task, List[Dep]],
+                         t_start: float = 0.0,
                          t_end: Optional[float] = None) -> CriticalPathReport:
-    """Walk back from ``terminal`` and attribute the window's time.
+    """Walk ``deps`` back from ``terminal`` and attribute the window's time.
 
     ``t_start``/``t_end`` bound the measurement window (defaults: 0 and the
     terminal's completion).  Service and queue intervals are clamped to the
@@ -212,7 +229,7 @@ def critical_path_report(terminal: Task, t_start: float = 0.0,
     if t_end is None:
         t_end = terminal.completion_time if terminal.completion_time \
             is not None else t_start
-    segments = tuple(critical_path(terminal, t_start))
+    segments = tuple(critical_path(terminal, deps, t_start))
     phase: Dict[str, float] = {}
     service: Dict[str, float] = {}
     queue: Dict[str, float] = {}

@@ -104,14 +104,14 @@ class Task:
 
     Lifecycle: constructed → ``submit()`` → waits on deps → acquires
     resources → runs → completes (action, callbacks, dependents notified).
-    The engine's observers hear the start and the completion.
+    The engine's observers hear each edge, the start and the completion.
     """
 
     __slots__ = ("engine", "name", "duration", "resources", "action",
                  "lane", "kind", "bytes", "_id", "_remaining_deps",
                  "_dependents", "_callbacks", "submitted", "started",
                  "completed", "start_time", "completion_time", "_request",
-                 "_deps", "eligible_time")
+                 "eligible_time")
 
     def __init__(self, engine: Engine, name: str, duration: float,
                  resources: Sequence[Resource] = (),
@@ -142,8 +142,6 @@ class Task:
         self.eligible_time: Optional[float] = None
         self._request = None
         self._remaining_deps = 0
-        #: recorded dependencies (``engine.retain_dag``), allocated on first use
-        self._deps: Optional[List[Dep]] = None
         for d in deps:
             self.add_dep(d)
 
@@ -161,12 +159,8 @@ class Task:
             return
         if dep.__class__ is Signal:
             dep.consumed = True
-        if self.engine.retain_dag:
-            # Already-completed deps are kept too: the latest-finishing dep
-            # determines eligibility regardless of when it was attached.
-            if self._deps is None:
-                self._deps = []
-            self._deps.append(dep)
+        for o in self.engine.observers:
+            o.dep_added(self, dep)
         if dep.completed:
             return
         dependents = dep._dependents
@@ -210,11 +204,6 @@ class Task:
                                 label=self.name)
 
     # -- profiling views ------------------------------------------------------
-    @property
-    def deps(self) -> Sequence[Dep]:
-        """The recorded dependencies (empty unless ``engine.retain_dag``)."""
-        return tuple(self._deps or ())
-
     @property
     def queue_wait(self) -> float:
         """Seconds spent between eligibility (all deps done) and start —

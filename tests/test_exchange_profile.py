@@ -13,6 +13,7 @@ import repro
 from repro import Capability, Dim3, ExchangeProfile
 from repro.core.exchange import ExchangeResult, _round_times
 from repro.core.methods import ExchangeMethod
+from repro.sim.profile import DepRecorder
 
 
 class TestRoundTimes:
@@ -130,11 +131,11 @@ class TestExchangeProfile:
         assert res.profile is None
         assert res.elapsed > 0
 
-    def test_retain_dag_restored_after_profiling(self, profiled):
+    def test_no_dep_recorder_left_after_profiling(self, profiled):
         cluster, _, _ = profiled
-        # Restored to its pre-profiling value: False normally, True when a
-        # sanitizer owns the flag (it needs dependency edges permanently).
-        assert cluster.engine.retain_dag is (cluster.sanitizer is not None)
+        # The round's recorder unsubscribes, so later rounds keep no edges.
+        assert not any(isinstance(o, DepRecorder)
+                       for o in cluster.engine.observers)
 
     def test_profile_with_staged_only(self):
         # The no-CUDA-aware staged path (§IV-C) must profile too: its

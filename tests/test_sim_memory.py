@@ -4,32 +4,41 @@ the round's DAG is lean.
 Every object a round creates (tasks, signals, acquire requests, MPI
 requests) must be freed by reference counting alone once the round is
 over, so the cyclic garbage collector finds nothing to collect and the
-number of live objects does not grow from round to round.  While the
-round is live, each task keeps few GC-tracked containers alive, so the
-collections that allocation triggers have little to traverse.
+number of live objects does not grow from round to round — also with the
+sanitizer or the critical-path profile observing, since both keep
+dependency edges only while they are in flight.  While the round is live,
+each task keeps few GC-tracked containers alive, so the collections that
+allocation triggers have little to traverse.
 """
 
 import gc
+
+import pytest
 
 from repro.bench.config import parse_config
 from repro.bench.harness import build_domain
 from repro.sim import Engine, Task
 
 
-def test_rounds_leave_no_cycles_and_flat_memory():
-    # Observers off: the sanitizer and metrics keep records of every round.
-    dd, _ = build_domain(parse_config("2n/2r/2g/128/ca"), sanitize=False,
+@pytest.mark.parametrize("sanitize,profile", [
+    pytest.param(False, False, id="no-observers"),
+    pytest.param(True, False, id="sanitize"),
+    pytest.param(False, True, id="profile"),
+])
+def test_rounds_leave_no_cycles_and_flat_memory(sanitize, profile):
+    # Metrics off: its event log keeps a record of every round.
+    dd, _ = build_domain(parse_config("2n/2r/2g/128/ca"), sanitize=sanitize,
                          metrics=False)
-    dd.exchange()   # warm-up: set-up objects and first-round caches
+    dd.exchange(profile=profile)   # warm-up: set-up objects, first caches
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        dd.exchange()
+        dd.exchange(profile=profile)
         assert gc.collect() == 0, "a round left cyclic garbage"
         live_round2 = len(gc.get_objects())
         for _ in range(18):
-            dd.exchange()
+            dd.exchange(profile=profile)
         assert gc.collect() == 0
         live_round20 = len(gc.get_objects())
     finally:

@@ -178,6 +178,8 @@ class TestSubscribers:
         report = cluster.finalize()
         assert report.ok, report.summary()
         assert cluster.sanitizer.hb.epoch > 0
+        # Every task started, so no dependency edge is still pending.
+        assert not cluster.sanitizer.hb.pending
 
 
 class TestSemanticEvents:
