@@ -33,7 +33,8 @@ enabled, each event is a loop over an empty observer list.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from array import array
+from typing import TYPE_CHECKING, Dict
 
 from ..cuda.memory import DeviceBuffer, PinnedBuffer
 from ..sim.engine import Observer
@@ -56,6 +57,13 @@ _FAULT_SERIES = {
     "retries": ("faults.retries", "fault.retry"),
     "fallbacks": ("faults.fallbacks", "fault.fallback"),
     "timeouts": ("faults.timeouts", "fault.timeout"),
+}
+
+
+#: device op -> (event-log name, count counter, bytes counter)
+_DEVICE_OP_SERIES = {
+    "kernel": ("cuda.kernel", "cuda.kernel.count", "cuda.kernel.bytes"),
+    "memcpy": ("cuda.memcpy", "cuda.memcpy.count", "cuda.memcpy.bytes"),
 }
 
 
@@ -85,13 +93,17 @@ class Metrics(Observer):
         self.engine = engine
         self.registry = MetricsRegistry()
         self.events = EventLog(engine)
-        #: closed busy episodes ``(start, end)`` per resource
-        self.busy: Dict["Resource", List[Tuple[float, float]]] = {}
+        #: closed busy episodes per resource, flat as ``[s0, e0, s1, e1, ...]``
+        #: (:func:`~repro.metrics.timeline.busy_intervals` pairs them up)
+        self.busy: Dict["Resource", array] = {}
         engine.observers.append(self)
 
     def resource_idle(self, resource: "Resource", start: float,
                       end: float) -> None:
-        self.busy.setdefault(resource, []).append((start, end))
+        episodes = self.busy.get(resource)
+        if episodes is None:
+            episodes = self.busy[resource] = array("d")
+        episodes.extend((start, end))
 
     # -- cuda -------------------------------------------------------------------
     def api_call(self, context, what: str) -> None:
@@ -106,9 +118,9 @@ class Metrics(Observer):
             return  # MPI traffic is counted at match time
         reg = self.registry
         kind, device, nbytes = task.kind, task.lane, task.bytes
-        # cuda.kernel.count/.bytes or cuda.memcpy.count/.bytes
-        reg.counter(f"cuda.{op}.count", kind=kind, device=device).inc()
-        reg.counter(f"cuda.{op}.bytes", kind=kind, device=device).inc(nbytes)
+        event, count, total = _DEVICE_OP_SERIES[op]
+        reg.counter(count, kind=kind, device=device).inc()
+        reg.counter(total, kind=kind, device=device).inc(nbytes)
         if task.duration > 0 and nbytes:
             rate = nbytes / task.duration
             if op == "memcpy":
@@ -118,7 +130,7 @@ class Metrics(Observer):
                 reg.histogram("cuda.pack.bytes_per_s", kind=kind,
                               device=device).observe(rate)
         task.on_complete(lambda t: self.events.emit(
-            f"cuda.{op}", kind=kind, device=device, op=t.name, bytes=nbytes,
+            event, kind=kind, device=device, op=t.name, bytes=nbytes,
             start=t.start_time, queue_wait=t.queue_wait))
 
     # -- mpi --------------------------------------------------------------------

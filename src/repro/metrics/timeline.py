@@ -2,9 +2,10 @@
 
 When metrics are enabled, the :class:`~repro.metrics.Metrics` subscriber
 keeps every :class:`~repro.sim.resources.Resource`'s busy episodes as
-``(start, end)`` intervals.  This module turns those into the per-link
-views the paper's evaluation reasons in (NVLink vs X-Bus vs PCIe vs IB,
-Figs. 9-12):
+flat ``[start, end, ...]`` doubles, which :func:`busy_intervals` pairs
+back into ``(start, end)`` intervals.  This module turns those into the
+per-link views the paper's evaluation reasons in (NVLink vs X-Bus vs PCIe
+vs IB, Figs. 9-12):
 
 * :func:`link_utilization_summary` — per link class: summed and
   *interval-merged* ("any link of this class busy") seconds, so overlapped
@@ -34,7 +35,8 @@ def busy_intervals(cluster: "SimCluster", resource: Resource,
     """Closed busy episodes the cluster's metrics subscriber kept, plus the
     currently-open one, if any."""
     m = cluster.metrics
-    out = list(m.busy.get(resource, ())) if m is not None else []
+    flat = iter(m.busy.get(resource, ()) if m is not None else ())
+    out = list(zip(flat, flat))
     if resource._last_busy_start is not None:
         out.append((resource._last_busy_start,
                     resource.engine.now if now is None else now))

@@ -16,14 +16,11 @@ not themselves operations (e.g. "a matching MPI receive has been posted").
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import SimulationError
 from .engine import Engine
 from .resources import Resource, acquire
-
-_task_ids = itertools.count()
 
 Dep = Union["Task", "Signal"]
 
@@ -108,7 +105,7 @@ class Task:
     """
 
     __slots__ = ("engine", "name", "duration", "resources", "action",
-                 "lane", "kind", "bytes", "_id", "_remaining_deps",
+                 "lane", "kind", "bytes", "_remaining_deps",
                  "_dependents", "_callbacks", "submitted", "started",
                  "completed", "start_time", "completion_time", "_request",
                  "eligible_time")
@@ -129,7 +126,6 @@ class Task:
         self.lane = lane
         self.kind = kind
         self.bytes = bytes
-        self._id = next(_task_ids)
         #: tasks waiting on this one (see :meth:`add_dep`)
         self._dependents: Union[None, Task, List[Task]] = None
         #: completion callbacks, allocated on first use

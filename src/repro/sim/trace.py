@@ -3,7 +3,7 @@
 The paper's Fig. 9 shows a timeline of overlapped exchange operations
 (pack kernels, peer copies, D2H/H2D staging, MPI sends) across GPUs and the
 owning rank's CPU.  :class:`Tracer` subscribes to the engine's observation
-stream and records one :class:`Span` per completed task that has a lane,
+stream and records one span per completed task that has a lane,
 plus a zero-length ``fault`` span for each finding the fault layer reports;
 :func:`render_gantt` renders an ASCII Gantt chart of the same form,
 and :meth:`Tracer.to_rows` produces machine-readable rows for CSV output.
@@ -11,6 +11,7 @@ and :meth:`Tracer.to_rows` produces machine-readable rows for CSV output.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,10 +59,25 @@ class Tracer(Observer):
 
     Subscribe it with ``engine.observers.append(tracer)``; removing it from
     the list stops recording.
+
+    Spans are stored as packed columns rather than one object each: the
+    ``(lane, kind)`` pair interned to an id in an ``array('I')``, the label
+    in a list, ``start``/``end``/``queue_wait`` in one ``array('d')`` and
+    the payload size in an ``array('q')``.  :attr:`spans` and the queries
+    build :class:`Span` objects only when asked.
     """
 
+    __slots__ = ("_ids", "_pairs", "_pair", "_labels", "_times", "_bytes")
+
     def __init__(self) -> None:
-        self.spans: List[Span] = []
+        #: ``(lane, kind)`` -> id, and id -> ``(lane, kind)``
+        self._ids: Dict[Tuple[str, str], int] = {}
+        self._pairs: List[Tuple[str, str]] = []
+        #: per span: its pair's id, label, ``start, end, queue_wait``, bytes
+        self._pair = array("I")
+        self._labels: List[str] = []
+        self._times = array("d")
+        self._bytes = array("q")
 
     def task_finished(self, task) -> None:
         if task.lane:
@@ -78,22 +94,38 @@ class Tracer(Observer):
     def record(self, lane: str, kind: str, label: str,
                start: float, end: float, nbytes: int = 0,
                queue_wait: float = 0.0) -> None:
-        self.spans.append(Span(lane, kind, label, start, end, nbytes,
-                               queue_wait))
+        pair = (lane, kind)
+        i = self._ids.get(pair)
+        if i is None:
+            i = self._ids[pair] = len(self._pairs)
+            self._pairs.append(pair)
+        self._pair.append(i)
+        self._labels.append(label)
+        self._times.extend((start, end, queue_wait))
+        self._bytes.append(nbytes)
 
     def clear(self) -> None:
-        self.spans.clear()
+        self.__init__()
+
+    def _columns(self):
+        """``((lane, kind), label, start, end, queue_wait, bytes)`` per span,
+        in record order."""
+        pairs = self._pairs
+        t = iter(self._times)
+        return zip((pairs[i] for i in self._pair), self._labels, t, t, t,
+                   self._bytes)
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every recorded span, in record order (built on each access)."""
+        return [Span(lane, kind, label, start, end, nbytes, wait)
+                for (lane, kind), label, start, end, wait, nbytes
+                in self._columns()]
 
     # -- queries -----------------------------------------------------------
     def lanes(self) -> List[str]:
         """Distinct lanes in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for s in self.spans:
-            seen.setdefault(s.lane, None)
-        return list(seen)
-
-    def spans_in_lane(self, lane: str) -> List[Span]:
-        return [s for s in self.spans if s.lane == lane]
+        return list(dict.fromkeys(lane for lane, _ in self._pairs))
 
     def by_kind(self) -> Dict[str, List[Span]]:
         out: Dict[str, List[Span]] = {}
@@ -109,8 +141,8 @@ class Tracer(Observer):
         questions.
         """
         out: Dict[str, float] = {}
-        for s in self.spans:
-            out[s.kind] = out.get(s.kind, 0.0) + s.duration
+        for (_, kind), _, start, end, _, _ in self._columns():
+            out[kind] = out.get(kind, 0.0) + (end - start)
         return out
 
     def busy_time_by_kind(self) -> Dict[str, float]:
@@ -121,17 +153,17 @@ class Tracer(Observer):
         ``total_time_by_kind / busy_time_by_kind`` is the kind's achieved
         concurrency.
         """
-        out: Dict[str, float] = {}
-        for kind, spans in self.by_kind().items():
-            merged = merge_intervals([(s.start, s.end) for s in spans])
-            out[kind] = sum(b - a for a, b in merged)
-        return out
+        ivals: Dict[str, List[Tuple[float, float]]] = {}
+        for (_, kind), _, start, end, _, _ in self._columns():
+            ivals.setdefault(kind, []).append((start, end))
+        return {kind: sum(b - a for a, b in merge_intervals(iv))
+                for kind, iv in ivals.items()}
 
     def makespan(self) -> float:
         """End of the last span minus start of the first."""
-        if not self.spans:
+        if not self._labels:
             return 0.0
-        return max(s.end for s in self.spans) - min(s.start for s in self.spans)
+        return max(self._times[1::3]) - min(self._times[0::3])
 
     def overlap_fraction(self) -> float:
         """How much concurrency the timeline achieved.
@@ -142,13 +174,17 @@ class Tracer(Observer):
         ms = self.makespan()
         if ms <= 0:
             return 0.0
-        return sum(s.duration for s in self.spans) / ms
+        t = self._times
+        return sum(end - start for start, end in zip(t[0::3], t[1::3])) / ms
 
     def to_rows(self) -> List[Tuple[str, str, str, float, float, int]]:
         """Rows of ``(lane, kind, label, start, end, bytes)`` sorted by
         ``(start, lane)``."""
-        return [(s.lane, s.kind, s.label, s.start, s.end, s.bytes)
-                for s in sorted(self.spans, key=lambda s: (s.start, s.lane))]
+        rows = [(lane, kind, label, start, end, nbytes)
+                for (lane, kind), label, start, end, _, nbytes
+                in self._columns()]
+        rows.sort(key=lambda r: (r[3], r[0]))
+        return rows
 
 
 _GANTT_CHARS = {
@@ -186,10 +222,13 @@ def render_gantt(tracer: Tracer, width: int = 100,
         return "(empty timeline)"
     label_w = max(len(lane) for lane in lanes) + 1
     scale = width / (t1 - t0)
+    by_lane: Dict[str, List[Span]] = {}
+    for s in spans:
+        by_lane.setdefault(s.lane, []).append(s)
     lines = []
     for lane in lanes:
         row = [" "] * width
-        for s in sorted(tracer.spans_in_lane(lane), key=lambda s: s.start):
+        for s in sorted(by_lane.get(lane, ()), key=lambda s: s.start):
             if s.end <= t0 or s.start >= t1:
                 # Entirely outside the requested window: skip rather than
                 # clamp onto a chart edge.  Zero-duration spans sitting

@@ -25,6 +25,7 @@ from repro.metrics import (
     link_utilization_summary,
     render_link_heatmap,
 )
+from repro.metrics.timeline import busy_intervals
 from repro.mpi.world import MpiWorld
 from repro.radius import Radius
 from repro.runtime.cluster import SimCluster
@@ -196,17 +197,19 @@ class TestOptIn:
         # add up to the resource's own busy-time accounting.
         busy = cluster.metrics.busy
         assert any(r in busy for r in cluster.nodes[0]._link_res.values())
-        for res, episodes in busy.items():
+        for res in busy:
+            episodes = busy_intervals(cluster, res)
             assert all(a <= b for a, b in episodes)
             assert sum(b - a for a, b in episodes) == \
                 pytest.approx(res.busy_time)
 
     def test_clear_keeps_busy_episodes(self):
         _, cluster = _exchange_once(metrics=True)
-        before = {r: list(e) for r, e in cluster.metrics.busy.items()}
+        before = {r: busy_intervals(cluster, r) for r in cluster.metrics.busy}
         cluster.metrics.clear()
         assert cluster.metrics.snapshot() == {}
-        assert cluster.metrics.busy == before
+        assert {r: busy_intervals(cluster, r)
+                for r in cluster.metrics.busy} == before
 
     def test_env_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "0")

@@ -8,15 +8,19 @@ number of live objects does not grow from round to round — also with the
 sanitizer or the critical-path profile observing, since both keep
 dependency edges only while they are in flight.  While the round is live,
 each task keeps few GC-tracked containers alive, so the collections that
-allocation triggers have little to traverse.
+allocation triggers have little to traverse.  With the tracer and the
+metrics bundle on, each observation record they keep costs bytes in
+packed rows rather than an object of its own.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
 from repro.bench.config import parse_config
 from repro.bench.harness import build_domain
+from repro.metrics.timeline import busy_intervals
 from repro.sim import Engine, Task
 
 
@@ -85,3 +89,33 @@ def test_round_dag_holds_few_containers_per_task(monkeypatch):
     live, tasks = at_run[0]
     assert tasks > 500
     assert (live - before) / tasks <= 3.0
+
+
+def _observation_records(cluster) -> int:
+    """Spans, event-log records and closed busy episodes kept so far."""
+    m = cluster.metrics
+    return (len(cluster.tracer.spans) + len(m.events)
+            + sum(len(busy_intervals(cluster, r)) for r in m.busy))
+
+
+def test_observation_records_cost_bytes_not_objects(monkeypatch):
+    # Kept as one Python object each (a Span, a dict, a tuple of floats),
+    # ten rounds retain about 185 B per record; packed into typed arrays
+    # and one tuple per event, about 90 B.
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    dd, cluster = build_domain(parse_config("2n/2r/2g/128/ca"), trace=True,
+                               sanitize=False, metrics=True)
+    dd.exchange()
+    gc.collect()
+    before = _observation_records(cluster)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            dd.exchange()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    records = _observation_records(cluster) - before
+    assert records > 10_000
+    assert kept / records < 135
