@@ -39,7 +39,6 @@ from .topology import (
     NetworkSpec,
     NodeTopology,
     dgx_like_node,
-    flat_node,
     pcie_node,
     summit_machine,
     summit_node,
@@ -69,7 +68,6 @@ __all__ = [
     "summit_machine",
     "dgx_like_node",
     "pcie_node",
-    "flat_node",
     "Capability",
     "Capabilities",
     "DistributedDomain",

@@ -9,7 +9,7 @@ dimension of the domain, and ca refers to CUDA-aware, if used."
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..dim3 import Dim3
 from ..errors import ConfigurationError
@@ -39,10 +39,6 @@ class BenchConfig:
                 f"({self.gpus_per_node}): {self}")
 
     @property
-    def n_gpus(self) -> int:
-        return self.nodes * self.gpus_per_node
-
-    @property
     def size(self) -> Dim3:
         return Dim3(self.extent, self.extent, self.extent)
 
@@ -51,9 +47,6 @@ class BenchConfig:
         s = (f"{self.nodes}n/{self.ranks_per_node}r/"
              f"{self.gpus_per_node}g/{self.extent}")
         return s + "/ca" if self.cuda_aware else s
-
-    def with_extent(self, extent: int) -> "BenchConfig":
-        return replace(self, extent=extent)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label()

@@ -50,13 +50,6 @@ class ExchangeTiming:
     def best(self) -> float:
         return min(r.elapsed for r in self.results)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.results[0].total_bytes
-
-    def label(self) -> str:
-        return self.config.label()
-
 
 def build_domain(config: BenchConfig,
                  capabilities: Capability = Capability.all(),

@@ -22,7 +22,7 @@ from .placement import (
 from .methods import ExchangeMethod, select_method
 from .distributed import DistributedDomain, ExchangeResult
 from .exchange import ExchangeProfile
-from .verify import VerificationError, verify_halos, verify_solution
+from .verify import VerificationError, verify_halos
 from .report import partition_narrative, placement_table, slice_map
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "ExchangeProfile",
     "VerificationError",
     "verify_halos",
-    "verify_solution",
     "partition_narrative",
     "placement_table",
     "slice_map",

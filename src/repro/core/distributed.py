@@ -228,10 +228,6 @@ class DistributedDomain:
             raise ConfigurationError(
                 f"no subdomain at global index {global_idx}") from None
 
-    def rank_subdomains(self, rank: Rank) -> List[Subdomain]:
-        """The subdomains whose devices ``rank`` owns."""
-        return [s for s in self.subdomains if s.rank is rank]
-
     # -- exchange --------------------------------------------------------------------
     def exchange(self, overlap_launcher: Optional[OverlapLauncher] = None,
                  profile: bool = False) -> ExchangeResult:
@@ -244,26 +240,6 @@ class DistributedDomain:
             raise ConfigurationError("call realize() before exchange()")
         assert self.plan is not None
         return self.plan.run_exchange(overlap_launcher, profile=profile)
-
-    def quiesce_and_replan(self):
-        """Drain in-flight work, then demote channels broken by faults.
-
-        The explicit form of the graceful-degradation step that
-        ``exchange()`` performs automatically when a fault plan with
-        ``fallback`` is attached: run the engine to quiescence (no round
-        may reference buffers about to be freed), probe every channel's
-        method against the *current* capability state, and re-specialize
-        the broken ones down the §III-C ladder (ultimately STAGED).
-
-        Returns the demotions as ``(tag, old_method, new_method)`` tuples —
-        empty when every channel is healthy.
-        """
-        if not self._realized:
-            raise ConfigurationError(
-                "call realize() before quiesce_and_replan()")
-        assert self.plan is not None
-        self.cluster.run()
-        return self.plan.replan_degraded()
 
     # -- global data access (data mode; instantaneous, for init/verification) ---------
     def set_global(self, q: int, values: np.ndarray) -> None:

@@ -59,23 +59,6 @@ class ExchangeProfile:
     critical_rank: int            #: rank whose join ended the round
     path: CriticalPathReport      #: attribution along its dependency chain
 
-    @property
-    def phase_seconds(self) -> Dict[str, float]:
-        return self.path.phase_seconds
-
-    @property
-    def service_by_class(self) -> Dict[str, float]:
-        return self.path.service_by_class
-
-    @property
-    def queue_by_class(self) -> Dict[str, float]:
-        return self.path.queue_by_class
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the elapsed window the critical path attributes."""
-        return self.path.coverage
-
     def summary(self) -> str:
         return (f"critical rank: r{self.critical_rank}\n"
                 + self.path.summary())

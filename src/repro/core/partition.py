@@ -16,12 +16,10 @@ opportunities, driving the blocks toward cubes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from ..dim3 import Dim3
 from ..errors import PartitionError
-from ..radius import Radius
-from .halo import exchange_directions, send_region
 
 
 def prime_factors(n: int) -> List[int]:
@@ -156,10 +154,6 @@ class SubdomainSpec:
     origin: Dim3
     extent: Dim3
 
-    @property
-    def volume(self) -> int:
-        return self.extent.volume
-
 
 class HierarchicalPartition:
     """Two-level decomposition: domain → node blocks → GPU subdomains.
@@ -231,10 +225,6 @@ class HierarchicalPartition:
             return raw
         return None
 
-    def split_global_idx(self, global_idx: Dim3) -> Tuple[Dim3, Dim3]:
-        """Decompose a combined index into (node_idx, gpu_idx)."""
-        return global_idx // self.gpu_dims, global_idx % self.gpu_dims
-
     def node_linear(self, node_idx: Dim3) -> int:
         """Which physical node hosts a node block (linearized, x fastest).
 
@@ -248,14 +238,3 @@ class HierarchicalPartition:
     def max_aspect_ratio(self) -> float:
         """Worst subdomain aspect ratio across the decomposition."""
         return max(s.extent.aspect_ratio() for s in self.subdomains())
-
-    def exchange_bytes_total(self, radius: Radius, quantities: int,
-                             itemsize: int) -> int:
-        """Total bytes moved per halo exchange across all subdomains."""
-        total = 0
-        dirs = exchange_directions(radius)
-        for s in self.subdomains():
-            for d in dirs:
-                total += (send_region(s.extent, radius, d).volume
-                          * quantities * itemsize)
-        return total

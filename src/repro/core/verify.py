@@ -76,29 +76,3 @@ def verify_halos(dd: "DistributedDomain") -> int:
                         f"expected {expect[tuple(bad)]!r}")
                 checked += got.size
     return checked
-
-
-def verify_solution(dd: "DistributedDomain", reference: np.ndarray,
-                    q: int = 0, exact: bool = True,
-                    atol: float = 0.0) -> None:
-    """Compare quantity ``q``'s gathered global field to ``reference``.
-
-    ``exact=True`` (default) demands bit equality — achievable because the
-    distributed operators accumulate taps in the same order as the
-    references; set ``exact=False`` with ``atol`` for algorithms where
-    that guarantee is deliberately relaxed.
-    """
-    got = dd.gather_global(q)
-    if got.shape != reference.shape:
-        raise VerificationError(
-            f"shape mismatch: {got.shape} vs {reference.shape}")
-    if exact:
-        if not np.array_equal(got, reference):
-            n_bad = int((got != reference).sum())
-            raise VerificationError(
-                f"{n_bad} of {got.size} cells differ from the reference")
-    else:
-        err = np.abs(got.astype("f8") - reference.astype("f8")).max()
-        if err > atol:
-            raise VerificationError(
-                f"max abs error {err} exceeds tolerance {atol}")

@@ -165,10 +165,6 @@ class Device:
         if self.used_bytes < 0:
             raise CudaError(f"gpu{self.global_index}: memory accounting underflow")
 
-    @property
-    def free_bytes(self) -> int:
-        return self.memory_bytes - self.used_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Device(g{self.global_index} = n{self.node.index}."
                 f"g{self.local_index}, {self.used_bytes}/{self.memory_bytes}B)")

@@ -44,10 +44,6 @@ class _BufferBase:
         self.freed = False
         self.label = label
 
-    @property
-    def symbolic(self) -> bool:
-        return self.array is None
-
     def _misused(self, misuse: str) -> CudaError:
         """Report ``misuse`` to the observers; returns the error to raise."""
         for o in self.cluster.engine.observers:

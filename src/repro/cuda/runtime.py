@@ -127,19 +127,6 @@ class CudaContext:
         join = self._task(name=self._label("waitEvent"), duration=0.0, deps=deps)
         stream.chain(join)
 
-    def stream_synchronize(self, stream: Stream) -> None:
-        """``cudaStreamSynchronize``: block this CPU until the stream drains."""
-        self.issue("streamSync")
-        if stream.tail is not None:
-            self.cpu_barrier_dep(stream.tail)
-
-    def device_synchronize(self, device: Device) -> None:
-        """``cudaDeviceSynchronize``: block this CPU until all streams drain."""
-        self.issue("deviceSync")
-        tails = [s.tail for s in device.streams if s.tail is not None]
-        for t in tails:
-            self.cpu_barrier_dep(t)
-
     # -- kernels ---------------------------------------------------------------------
     def launch_kernel(self, stream: Stream, nbytes: int,
                       action=None, what: str = "kernel", kind: str = "pack",
@@ -302,7 +289,7 @@ class CudaContext:
             # The driver mapping is gone; a library that keeps issuing peer
             # copies must fail loudly rather than silently bounce through
             # the host.  Recovery is the channel demotion ladder
-            # (DistributedDomain.quiesce_and_replan / plan fallback).
+            # (ExchangePlan.replan_degraded before the next round).
             raise PeerAccessError(
                 f"peer access between gpu{sdev.global_index} and "
                 f"gpu{ddev.global_index} was revoked mid-run; demote the "

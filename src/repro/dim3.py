@@ -169,15 +169,6 @@ class Dim3:
         """True if ``idx`` is a valid 0-based index into a box of this size."""
         return idx.all_nonnegative() and idx.all_lt(self)
 
-    def longest_axis(self) -> int:
-        """Index (0=x, 1=y, 2=z) of the largest component.
-
-        Ties break toward the *lowest* axis index, which makes the recursive
-        bisection of the partitioner deterministic.
-        """
-        vals = self.as_tuple()
-        return vals.index(max(vals))
-
     def aspect_ratio(self) -> float:
         """Ratio of longest to shortest extent (>= 1.0)."""
         vals = self.as_tuple()

@@ -281,13 +281,6 @@ class FaultInjector:
         return None
 
     # -- reporting -----------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "plan": self.plan.to_dict(),
-            "counters": dict(self.counters),
-            "report": self.report.to_dict(),
-        }
-
     def summary(self) -> str:
         c = self.counters
         head = (f"faults: {c['faults_injected']} injected, "

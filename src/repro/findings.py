@@ -81,10 +81,6 @@ class FindingsReport:
         if len(self.findings) < MAX_STORED_FINDINGS:
             self.findings.append(finding)
 
-    def extend(self, findings) -> None:
-        for f in findings:
-            self.add(f)
-
     @property
     def total(self) -> int:
         return sum(self.counts.values())

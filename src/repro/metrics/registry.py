@@ -104,10 +104,6 @@ class Histogram:
         if self.max is None or v > self.max:
             self.max = v
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,
@@ -131,8 +127,17 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], Metric] = {}
         self._kinds: Dict[str, str] = {}
+        #: ``(kind, name, labels as passed)`` -> metric, so a repeated
+        #: lookup skips the kind check and the sorted, stringified key.
+        #: Label values that compare equal must print alike (``1`` and
+        #: ``True`` would share an entry); the str and int labels do.
+        self._cache: Dict[tuple, Metric] = {}
 
     def _get(self, kind: str, name: str, labels: Dict[str, object]) -> Metric:
+        fast = (kind, name, tuple(labels.items()))
+        m = self._cache.get(fast)
+        if m is not None:
+            return m
         prev = self._kinds.setdefault(name, kind)
         if prev != kind:
             raise TypeError(
@@ -142,6 +147,7 @@ class MetricsRegistry:
         m = self._metrics.get(key)
         if m is None:
             m = self._metrics[key] = _KINDS[kind]()
+        self._cache[fast] = m
         return m
 
     def counter(self, name: str, **labels) -> Counter:
@@ -157,6 +163,7 @@ class MetricsRegistry:
         """Drop all metrics (e.g. between warm-up and measured rounds)."""
         self._metrics.clear()
         self._kinds.clear()
+        self._cache.clear()
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:

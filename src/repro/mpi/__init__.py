@@ -25,7 +25,5 @@ from .request import Request
 from .status import Status
 from .transport import Transport
 from .world import MpiWorld, Rank
-from .collectives import allgather, allreduce, bcast
 
-__all__ = ["Request", "Status", "Transport", "MpiWorld", "Rank",
-           "bcast", "allgather", "allreduce"]
+__all__ = ["Request", "Status", "Transport", "MpiWorld", "Rank"]

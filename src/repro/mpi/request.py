@@ -32,7 +32,7 @@ class Request:
         self.label = label
         self.signal = Signal(f"req{self.id}:{label}")
         self._completed = False
-        #: True once a rank called ``wait``/``wait_all`` on this request
+        #: True once a rank called ``wait`` on this request
         self.waited = False
         #: True once user code saw ``completed`` return True — the
         #: ``MPI_Test`` sense of consuming a completion (leak checking)
@@ -49,10 +49,6 @@ class Request:
         if self._completed:
             self.observed = True
         return self._completed
-
-    def test(self) -> bool:
-        """``MPI_Test``: non-destructively query completion."""
-        return self.completed
 
     def on_complete(self, fn: Callable[["Request"], None]) -> None:
         """Run ``fn(request)`` when the request completes (or now if done)."""

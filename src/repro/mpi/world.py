@@ -117,13 +117,6 @@ class Rank:
         self._mark_wait(request)
         self.ctx.cpu_barrier_dep(request.signal)
 
-    def wait_all(self, requests: Sequence[Request]) -> None:
-        """``MPI_Waitall`` over this rank's requests."""
-        self.ctx.issue("Waitall", cost=self.world.cluster.cost.mpi_call_overhead)
-        for r in requests:
-            self._mark_wait(r)
-            self.ctx.cpu_barrier_dep(r.signal)
-
     # -- helpers ------------------------------------------------------------------
     def _mark_wait(self, req: Request) -> None:
         for o in self.world.cluster.engine.observers:

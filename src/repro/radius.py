@@ -102,17 +102,3 @@ class Radius:
     @property
     def max(self) -> int:
         return max(self.xm, self.xp, self.ym, self.yp, self.zm, self.zp)
-
-    def is_zero(self) -> bool:
-        return self.max == 0
-
-    def nonzero_axes(self) -> tuple[int, ...]:
-        """Axes (0=x, 1=y, 2=z) along which any halo is exchanged."""
-        out = []
-        if self.xm or self.xp:
-            out.append(0)
-        if self.ym or self.yp:
-            out.append(1)
-        if self.zm or self.zp:
-            out.append(2)
-        return tuple(out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError, DeadlockError
+from ..errors import ConfigurationError
 from ..sim import Engine, Resource, Tracer
 from ..topology.machine import Machine
 from .costmodel import CostModel
@@ -223,10 +223,6 @@ class SimCluster:
         return cluster
 
     # -- lookup -----------------------------------------------------------------
-    @property
-    def n_gpus(self) -> int:
-        return self.machine.n_gpus
-
     def device(self, global_gpu: int) -> "Device":  # noqa: F821
         """The Device for a global GPU id."""
         node = self.machine.gpu_node(global_gpu)
@@ -244,27 +240,6 @@ class SimCluster:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final virtual time."""
         return self.engine.run(until)
-
-    def run_and_check(self, pending_tasks) -> float:
-        """Run to quiescence and verify that ``pending_tasks`` all completed.
-
-        Raises :class:`~repro.errors.DeadlockError` naming stuck tasks —
-        the simulated analogue of a hung exchange.  With a sanitizer
-        attached the error carries a wait-for chain for each stuck task.
-        """
-        t = self.engine.run()
-        stuck = [x for x in pending_tasks if not x.completed]
-        if stuck:
-            names = ", ".join(s.name for s in stuck[:8])
-            msg = f"{len(stuck)} task(s) never completed, e.g.: {names}"
-            detail = self.explain_stuck(stuck)
-            if detail:
-                msg += "\nwait-for chains:\n" + detail
-            unmatched = self.check_unmatched()
-            if unmatched:
-                msg += "\nunmatched MPI messages: " + ", ".join(unmatched[:8])
-            raise DeadlockError(msg)
-        return t
 
     def explain_stuck(self, stuck) -> str:
         """Wait-for chains for ``stuck`` tasks (needs the sanitizer's edges)."""

@@ -5,9 +5,9 @@ reports, as structured findings:
 
 * **leaked requests** — completed but never waited on *and* never used as a
   dependency.  In this event-driven model "waiting" is
-  :meth:`repro.mpi.world.Rank.wait`/``wait_all``, depending on
+  :meth:`repro.mpi.world.Rank.wait`, depending on
   ``request.signal`` (how the exchange polling loop consumes completions),
-  or seeing ``request.completed``/``test()`` return True (``MPI_Test``);
+  or seeing ``request.completed`` return True (``MPI_Test``);
   a request whose completion nothing ever observed is the analogue of an
   ``MPI_Request`` handle dropped without ``MPI_Wait`` — legal-looking code
   that leaks request objects and hides transfer failures.

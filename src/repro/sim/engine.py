@@ -221,16 +221,3 @@ class Engine:
             for o in self.observers:
                 o.on_quiescence()
         return self._now
-
-    def step(self) -> bool:
-        """Run a single event.  Returns False if the queue was empty."""
-        while self._heap:
-            when, seq, cb = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            self._now = when
-            self._events_processed += 1
-            cb()
-            return True
-        return False

@@ -70,16 +70,6 @@ class PathSegment:
     blocked_on: Tuple[str, ...]     #: resources that made it queue (if any)
 
     @property
-    def duration(self) -> float:
-        """Service time: seconds holding resources."""
-        return self.end - self.start
-
-    @property
-    def queue_wait(self) -> float:
-        """Seconds between eligibility and the resource grant."""
-        return self.start - self.eligible
-
-    @property
     def phase(self) -> str:
         return PHASE_OF_KIND.get(self.kind, "other")
 

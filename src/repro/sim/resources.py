@@ -165,14 +165,6 @@ class AcquireRequest:
         #: resources with no free slot at request time (the queueing culprits)
         self.blocked_on: Tuple[Resource, ...] = ()
 
-    @property
-    def wait(self) -> float:
-        """Seconds this request spent queued before its grant (0 so far
-        if still waiting)."""
-        if self.request_time is None or self.grant_time is None:
-            return 0.0
-        return self.grant_time - self.request_time
-
     def _grant(self, engine: Engine) -> None:
         self.granted = True
         self.grant_time = engine._now

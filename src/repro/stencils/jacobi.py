@@ -184,31 +184,6 @@ class JacobiHeat:
         """Gather the current global field (data mode)."""
         return self.dd.gather_global(0)
 
-    def global_residual(self) -> float:
-        """Max-norm of the Laplacian over the whole domain, via MPI.
-
-        Refreshes halos (a step leaves them one update stale), reduces each
-        rank's subdomains locally, then combines across ranks with a
-        simulated ``MPI_Allreduce(MAX)``.  This is how a real solver
-        decides convergence, and it exercises the collective layer over
-        live subdomain data.  Spends virtual time; not part of any timed
-        exchange window.
-        """
-        from ..mpi.collectives import allreduce
-
-        self.dd.exchange()
-        per_rank: Dict[int, float] = {r.index: 0.0
-                                      for r in self.dd.world.ranks}
-        for sub in self.dd.subdomains:
-            full = sub.domain.quantity_view(0)
-            lap = apply_stencil(full, self.dd.radius.low, sub.extent,
-                                self.weights)
-            local = float(np.abs(lap).max()) if lap.size else 0.0
-            idx = sub.rank.index
-            per_rank[idx] = max(per_rank[idx], local)
-        contributions = [per_rank[r.index] for r in self.dd.world.ranks]
-        return allreduce(self.dd.world, contributions, op=max)[0]
-
 
 def _shell_regions(sub: Subdomain, radius) -> List[Region]:
     """Decompose interior∖inner into six disjoint slabs (z, then y, then x)."""

@@ -47,10 +47,6 @@ class StencilWeights:
             zp = max(zp, dz)
         return Radius(xm, xp, ym, yp, zm, zp)
 
-    @property
-    def n_taps(self) -> int:
-        return len(self.taps)
-
     def flops_per_point(self) -> int:
         """Multiply-adds per output point (2 flops per tap)."""
         return 2 * len(self.taps)
@@ -95,21 +91,6 @@ def _central_second_derivative(radius: int) -> Tuple[float, ...]:
         raise ConfigurationError(
             f"no coefficient table for radius {radius} (supported: 1-4)")
     return table[radius]
-
-
-def box_mean_weights(radius: int = 1) -> StencilWeights:
-    """Uniform box filter: all 27·(radius impact) points weighted equally.
-
-    Exercises the diagonal (edge/corner) exchange paths of Fig. 1b.
-    """
-    if radius < 1:
-        raise ConfigurationError("box radius must be >= 1")
-    offs = [(dx, dy, dz)
-            for dx in range(-radius, radius + 1)
-            for dy in range(-radius, radius + 1)
-            for dz in range(-radius, radius + 1)]
-    w = 1.0 / len(offs)
-    return StencilWeights({o: w for o in offs})
 
 
 def apply_stencil(full: np.ndarray, halo_lo: Dim3, extent: Dim3,

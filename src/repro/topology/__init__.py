@@ -17,7 +17,7 @@ from .links import Link, LinkType
 from .node import NodeTopology
 from .machine import Machine, NetworkSpec
 from .summit import summit_node, summit_machine
-from .presets import dgx_like_node, pcie_node, flat_node
+from .presets import dgx_like_node, pcie_node
 from .distance import (
     bandwidth_matrix,
     distance_matrix_from_bandwidth,
@@ -34,7 +34,6 @@ __all__ = [
     "summit_machine",
     "dgx_like_node",
     "pcie_node",
-    "flat_node",
     "bandwidth_matrix",
     "distance_matrix_from_bandwidth",
     "gpu_distance_matrix",

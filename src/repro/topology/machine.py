@@ -43,11 +43,6 @@ class NetworkSpec:
         if self.fabric_latency < 0:
             raise ConfigurationError("fabric_latency must be >= 0")
 
-    @property
-    def injection_bandwidth(self) -> float:
-        """Aggregate per-node injection rate (all rails)."""
-        return self.nic_ports * self.nic_port_bandwidth
-
 
 @dataclass(frozen=True)
 class Machine:

@@ -169,9 +169,6 @@ class NodeTopology:
         """The socket component a GPU is attached to."""
         return f"cpu{self.gpu_socket[gpu]}"
 
-    def same_socket(self, i: int, j: int) -> bool:
-        return self.gpu_socket[i] == self.gpu_socket[j]
-
     def peer_accessible(self, i: int, j: int) -> bool:
         """Whether ``cudaDeviceCanAccessPeer`` would report access i→j."""
         if i == j:

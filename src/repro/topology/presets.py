@@ -11,8 +11,6 @@ Summit:
 * :func:`pcie_node` — GPUs hang off a PCIe switch with *no peer access*, so
   PEERMEMCPY/COLOCATEDMEMCPY are never applicable and everything falls back
   to STAGED (or CUDA-aware MPI).
-* :func:`flat_node` — an n-GPU single-socket node with uniform NVLink, the
-  minimal topology for unit tests.
 """
 
 from __future__ import annotations
@@ -63,25 +61,6 @@ def pcie_node(n_gpus: int = 4, pcie_bw: float = 12e9) -> NodeTopology:
         n_nics=1,
         peer_access=frozenset(),
         description=f"{n_gpus}-GPU PCIe node without peer access",
-    )
-
-
-def flat_node(n_gpus: int = 2, bw: float = 47e9, nics: int = 1) -> NodeTopology:
-    """Minimal uniform node for unit tests: one socket, NVLink to every GPU."""
-    links = []
-    if nics:
-        links.append(Link("cpu0", "nic0", LinkType.PCIE, 25e9, 1e-6))
-    for g in range(n_gpus):
-        links.append(Link(f"gpu{g}", "cpu0", LinkType.NVLINK, bw, 1.5e-6))
-        for h in range(g + 1, n_gpus):
-            links.append(Link(f"gpu{g}", f"gpu{h}", LinkType.NVLINK, bw, 1.5e-6))
-    return NodeTopology(
-        name=f"flat{n_gpus}",
-        n_sockets=1,
-        gpu_socket=(0,) * n_gpus,
-        links=links,
-        n_nics=nics,
-        description=f"uniform {n_gpus}-GPU test node",
     )
 
 

@@ -143,8 +143,8 @@ class TestPlacements:
             total = 0.0
             for i in range(6):
                 for j in range(6):
-                    if i != j and node.same_socket(placement.gpu_of[i],
-                                                   placement.gpu_of[j]):
+                    if i != j and (node.gpu_socket[placement.gpu_of[i]]
+                                   == node.gpu_socket[placement.gpu_of[j]]):
                         total += w[i, j]
             return total
 

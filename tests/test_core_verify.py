@@ -1,11 +1,10 @@
 """Tests for the public verification helpers."""
 
-import numpy as np
 import pytest
 
 import repro
 from repro import Dim3
-from repro.core.verify import VerificationError, verify_halos, verify_solution
+from repro.core.verify import VerificationError, verify_halos
 from repro.errors import CudaError
 
 from tests.exchange_helpers import fill_pattern
@@ -58,26 +57,3 @@ class TestVerifyHalos:
         dd = make_dd(data_mode=False)
         with pytest.raises(CudaError):
             verify_halos(dd)
-
-
-class TestVerifySolution:
-    def test_exact_pass_and_fail(self):
-        dd = make_dd()
-        vals = np.random.default_rng(0).random(dd.size.as_zyx()).astype("f4")
-        dd.set_global(0, vals)
-        verify_solution(dd, vals)
-        with pytest.raises(VerificationError):
-            verify_solution(dd, vals + 1)
-
-    def test_tolerance_mode(self):
-        dd = make_dd()
-        vals = np.random.default_rng(1).random(dd.size.as_zyx()).astype("f4")
-        dd.set_global(0, vals)
-        verify_solution(dd, vals + 1e-6, exact=False, atol=1e-5)
-        with pytest.raises(VerificationError):
-            verify_solution(dd, vals + 1e-3, exact=False, atol=1e-5)
-
-    def test_shape_mismatch(self):
-        dd = make_dd()
-        with pytest.raises(VerificationError):
-            verify_solution(dd, np.zeros((2, 2, 2), "f4"))

@@ -94,27 +94,6 @@ class TestStreams:
         with pytest.raises(CudaError):
             ctx.stream_wait_event(s, Event())
 
-    def test_stream_synchronize_blocks_cpu(self, ctx_and_cluster):
-        ctx, cluster = ctx_and_cluster
-        d = cluster.device(0)
-        s = ctx.create_stream(d)
-        k = ctx.launch_kernel(s, 64 << 20, what="big")
-        ctx.stream_synchronize(s)
-        after = ctx.issue("after")
-        cluster.run()
-        assert after.start_time >= k.completion_time
-
-    def test_device_synchronize_covers_all_streams(self, ctx_and_cluster):
-        ctx, cluster = ctx_and_cluster
-        d = cluster.device(0)
-        s1, s2 = ctx.create_stream(d), ctx.create_stream(d)
-        k1 = ctx.launch_kernel(s1, 32 << 20)
-        k2 = ctx.launch_kernel(s2, 32 << 20)
-        ctx.device_synchronize(d)
-        after = ctx.issue("after")
-        cluster.run()
-        assert after.start_time >= max(k1.completion_time, k2.completion_time)
-
 
 class TestKernels:
     def test_duration_scales_with_bytes(self, ctx_and_cluster):

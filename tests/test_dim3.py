@@ -121,11 +121,6 @@ class TestPredicates:
         assert not e.contains_index(Dim3(2, 0, 0))
         assert not e.contains_index(Dim3(-1, 0, 0))
 
-    def test_longest_axis_tie_lowest(self):
-        assert Dim3(5, 5, 5).longest_axis() == 0
-        assert Dim3(1, 5, 5).longest_axis() == 1
-        assert Dim3(1, 2, 5).longest_axis() == 2
-
     def test_aspect_ratio(self):
         assert Dim3(4, 2, 2).aspect_ratio() == 2.0
         with pytest.raises(ValueError):

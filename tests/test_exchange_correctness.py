@@ -92,7 +92,7 @@ class TestSingleNode:
 
     def test_single_gpu_all_self_exchange(self):
         cluster = repro.SimCluster.create(
-            machine_of(repro.flat_node(1)))
+            machine_of(repro.dgx_like_node(1)))
         world = repro.MpiWorld.create(cluster, 1)
         dd = repro.DistributedDomain(world, size=Dim3(8, 8, 8), radius=2)
         dd.realize()

@@ -93,11 +93,11 @@ class TestExchangeProfile:
 
     def test_coverage_meets_threshold(self, profiled):
         _, _, res = profiled
-        assert res.profile.coverage >= 0.95
+        assert res.profile.path.coverage >= 0.95
 
     def test_phase_breakdown_accounts_for_elapsed(self, profiled):
         _, _, res = profiled
-        attributed = sum(res.profile.phase_seconds.values())
+        attributed = sum(res.profile.path.phase_seconds.values())
         # Exclusive phase seconds sum to >= 95% of the round's elapsed
         # (the ISSUE acceptance bar), and never exceed it.
         assert attributed >= 0.95 * res.elapsed
@@ -105,10 +105,10 @@ class TestExchangeProfile:
 
     def test_expected_phases_and_classes(self, profiled):
         _, _, res = profiled
-        assert {"pack", "wire", "unpack"} <= set(res.profile.phase_seconds)
+        assert {"pack", "wire", "unpack"} <= set(res.profile.path.phase_seconds)
         # A 2-node full-ladder exchange's critical path runs through CPU
         # issue and some transfer engine.
-        assert "cpu_thread" in res.profile.service_by_class
+        assert "cpu_thread" in res.profile.path.service_by_class
 
     def test_window_matches_result(self, profiled):
         _, _, res = profiled
@@ -148,6 +148,6 @@ class TestExchangeProfile:
             capabilities=Capability.remote_only()).realize()
         res = dd.exchange(profile=True)
         assert res.profile is not None
-        assert res.profile.coverage >= 0.95
-        assert "stage" in res.profile.phase_seconds
+        assert res.profile.path.coverage >= 0.95
+        assert "stage" in res.profile.path.phase_seconds
         assert res.method_counts.get(ExchangeMethod.STAGED, 0) > 0

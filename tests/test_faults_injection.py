@@ -6,7 +6,6 @@ mechanics, the seeded backoff, the ``REPRO_FAULTS`` environment wiring,
 and the bench-record integration.
 """
 
-import numpy as np
 import pytest
 
 import repro

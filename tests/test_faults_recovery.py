@@ -56,15 +56,17 @@ class TestDegradationLadder:
         assert not any(ch.method is ExchangeMethod.CUDA_AWARE_MPI
                        for ch in dd.plan.channels if ch.group is None)
 
-    def test_quiesce_and_replan_is_the_explicit_form(self):
+    def test_replan_degraded_is_the_explicit_form(self):
         dd = make_dd(faults=REVOKE_ALL)
-        demotions = dd.quiesce_and_replan()
+        dd.cluster.run()   # quiesce before replanning
+        demotions = dd.plan.replan_degraded()
         assert demotions, "revoked capabilities must demote something"
         for tag, old, new in demotions:
             assert isinstance(tag, int)
             assert old != new
         # idempotent at quiescence: nothing left to demote
-        assert dd.quiesce_and_replan() == []
+        dd.cluster.run()
+        assert dd.plan.replan_degraded() == []
         # and the exchange works on the replanned channels
         fill_pattern(dd)
         dd.exchange()
@@ -111,7 +113,8 @@ class TestDegradationLadder:
 
     def test_plan_section_follows_degradation(self):
         dd = make_dd(faults=REVOKE_ALL)
-        demotions = dd.quiesce_and_replan()
+        dd.cluster.run()   # quiesce before replanning
+        demotions = dd.plan.replan_degraded()
         assert demotions
         section = plan_section(dd)
         assert section["verdict"] == "ok"
@@ -124,7 +127,8 @@ class TestDegradationLadder:
     def test_fault_free_channels_are_untouched(self):
         dd = make_dd(faults=FaultPlan())
         methods_before = [ch.method for ch in dd.plan.channels]
-        assert dd.quiesce_and_replan() == []
+        dd.cluster.run()
+        assert dd.plan.replan_degraded() == []
         assert [ch.method for ch in dd.plan.channels] == methods_before
 
 

@@ -62,7 +62,6 @@ class TestHistogram:
         assert d["sum"] == pytest.approx(1028.0)
         assert (d["min"], d["max"]) == (1.0, 1024.0)
         assert d["buckets"] == {"0": 1, "1": 1, "10": 1}
-        assert h.mean == pytest.approx(1028.0 / 3)
 
     def test_underflow_bucket_name(self):
         h = Histogram()
@@ -71,7 +70,7 @@ class TestHistogram:
 
     def test_empty(self):
         h = Histogram()
-        assert h.mean == 0.0
+        assert h.to_dict()["count"] == 0
         assert h.to_dict()["min"] is None
 
 
@@ -89,6 +88,19 @@ class TestRegistry:
         r.counter("x", a=1, b=2).inc()
         r.counter("x", b=2, a=1).inc()
         assert r.counter("x", a=1, b=2).value == 2
+
+    def test_reordered_labels_return_the_same_series(self):
+        r = MetricsRegistry()
+        c = r.counter("x", a=1, b=2)
+        assert r.counter("x", a=1, b=2) is c  # cached hit
+        assert r.counter("x", b=2, a=1) is c  # miss on order, same series
+
+    def test_kind_collision_after_a_cached_hit(self):
+        r = MetricsRegistry()
+        r.counter("x", a=1)
+        r.counter("x", a=1)
+        with pytest.raises(TypeError, match="already registered"):
+            r.gauge("x", a=1)
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):

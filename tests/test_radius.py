@@ -71,13 +71,7 @@ class TestQueries:
 
     def test_max_and_zero(self):
         assert Radius(1, 2, 3, 4, 5, 6).max == 6
-        assert Radius.constant(0).is_zero()
-        assert not Radius.constant(1).is_zero()
-
-    def test_nonzero_axes(self):
-        assert Radius.constant(1).nonzero_axes() == (0, 1, 2)
-        assert Radius.face_only(2, 1).nonzero_axes() == (1,)
-        assert Radius.constant(0).nonzero_axes() == ()
+        assert Radius.constant(0).max == 0
 
     @given(radii, radii, radii, radii, radii, radii)
     def test_low_high_consistency(self, a, b, c, d, e, f):

@@ -2,13 +2,12 @@
 
 import pytest
 
-import repro
 from repro.errors import ConfigurationError
 from repro.runtime import CostModel, SimCluster
 from repro.runtime.costmodel import CostModel as CM
 from repro.sim import Task
-from repro.topology import summit_machine
-from repro.topology.presets import flat_node, machine_of
+from repro.topology import Link, LinkType, NodeTopology, summit_machine
+from repro.topology.presets import machine_of
 
 
 @pytest.fixture
@@ -64,7 +63,11 @@ class TestSimNode:
         assert node.nic_in.capacity == 2
 
     def test_no_nic_node(self):
-        cluster = SimCluster.create(machine_of(flat_node(2, nics=0)))
+        node = NodeTopology("nonic", 1, (0, 0),
+                            [Link("gpu0", "cpu0", LinkType.NVLINK, 1e9, 0),
+                             Link("gpu1", "cpu0", LinkType.NVLINK, 1e9, 0)],
+                            n_nics=0)
+        cluster = SimCluster.create(machine_of(node))
         assert cluster.nodes[0].nic_out is None
 
     def test_nodes_have_independent_resources(self, cluster):
@@ -77,15 +80,10 @@ class TestSimCluster:
     def test_device_lookup(self, cluster):
         d = cluster.device(9)
         assert d.node.index == 1 and d.local_index == 3
-        assert cluster.n_gpus == 12
 
     def test_run_returns_final_time(self, cluster):
         Task(cluster.engine, name="t", duration=2.5).submit()
         assert cluster.run() == pytest.approx(2.5)
-
-    def test_run_and_check_passes_for_complete(self, cluster):
-        t = Task(cluster.engine, name="ok", duration=0.1).submit()
-        cluster.run_and_check([t])
 
     def test_data_mode_flag_propagates(self):
         c1 = SimCluster.create(summit_machine(1), data_mode=True)

@@ -5,7 +5,6 @@ messages — each seeded deliberately and asserted as a structured finding.
 import pytest
 
 import repro
-from repro.errors import DeadlockError
 from repro.sim import Signal, Task
 from repro.topology import summit_machine
 
@@ -47,7 +46,7 @@ class TestRequestLifecycle:
         s = w.ranks[0].isend(a, 1, tag=1)
         r = w.ranks[1].irecv(b, 0, tag=1)
         cluster.run()
-        assert s.test() and r.test()
+        assert s.completed and r.completed
         assert cluster.finalize().ok
 
     @pytest.mark.expect_findings
@@ -93,16 +92,15 @@ class TestMatchChecks:
 
 class TestDeadlockExplanation:
     def test_stuck_task_explained_with_wait_for_chain(self):
-        """Under the sanitizer the engine retains the task DAG, so a
-        deadlock report includes the chain ending at the unfired dep."""
+        """The sanitizer keeps the edges of tasks that never started, so a
+        stuck task's explanation is the chain ending at the unfired dep."""
         cluster = repro.SimCluster.create(summit_machine(1), sanitize=True)
         never = Signal("never-fired")
         t = Task(cluster.engine, name="stuck-op", duration=1.0,
                  deps=[never]).submit()
-        with pytest.raises(DeadlockError) as exc:
-            cluster.run_and_check([t])
-        msg = str(exc.value)
-        assert "wait-for chains" in msg
+        cluster.run()
+        assert not t.completed
+        msg = cluster.explain_stuck([t])
         assert "stuck-op" in msg and "never-fired" in msg
 
     def test_without_sanitizer_explanation_degrades(self):
@@ -110,6 +108,6 @@ class TestDeadlockExplanation:
         never = Signal("never-fired")
         t = Task(cluster.engine, name="stuck-op", duration=1.0,
                  deps=[never]).submit()
-        with pytest.raises(DeadlockError) as exc:
-            cluster.run_and_check([t])
-        assert "wait-for graph unavailable" in str(exc.value)
+        cluster.run()
+        assert not t.completed
+        assert "wait-for graph unavailable" in cluster.explain_stuck([t])

@@ -88,15 +88,6 @@ class TestRun:
         eng.run()
         assert fired == [1, 10]
 
-    def test_step(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(1.0, lambda: fired.append(1))
-        eng.schedule(2.0, lambda: fired.append(2))
-        assert eng.step() and fired == [1]
-        assert eng.step() and fired == [1, 2]
-        assert not eng.step()
-
     def test_not_reentrant(self):
         eng = Engine()
         err = []

@@ -9,7 +9,6 @@ from repro.topology import (
     LinkType,
     NodeTopology,
     dgx_like_node,
-    flat_node,
     pcie_node,
 )
 from repro.topology.distance import (
@@ -43,7 +42,7 @@ class TestLink:
 
 class TestRouting:
     def test_direct_path(self):
-        n = flat_node(2)
+        n = dgx_like_node(2)
         p = n.path("gpu0", "gpu1")
         assert len(p) == 1
         assert p[0].type == LinkType.NVLINK
@@ -54,7 +53,7 @@ class TestRouting:
         assert len(p) == 2
 
     def test_empty_self_path(self):
-        n = flat_node(2)
+        n = dgx_like_node(2)
         assert n.path("gpu0", "gpu0") == ()
 
     def test_bandwidth_is_path_min(self):
@@ -66,7 +65,7 @@ class TestRouting:
         assert n.latency("gpu0", "gpu1") == pytest.approx(4e-6)
 
     def test_unknown_component(self):
-        n = flat_node(2)
+        n = dgx_like_node(2)
         with pytest.raises(ConfigurationError):
             n.path("gpu0", "gpu9")
 
@@ -96,21 +95,24 @@ class TestValidation:
                                                LinkType.NVLINK, 1e9, 0)])
 
     def test_nic_component_without_nic(self):
-        n = flat_node(2, nics=0)
+        n = NodeTopology("nonic", 1, (0, 0),
+                         [Link("gpu0", "cpu0", LinkType.NVLINK, 1e9, 0),
+                          Link("gpu1", "cpu0", LinkType.NVLINK, 1e9, 0)],
+                         n_nics=0)
         with pytest.raises(ConfigurationError):
             n.nic_component()
 
 
 class TestGpuQueries:
     def test_components(self):
-        n = flat_node(3)
+        n = dgx_like_node(3)
         assert n.gpu_component(1) == "gpu1"
         assert n.gpu_cpu_component(1) == "cpu0"
         with pytest.raises(ConfigurationError):
             n.gpu_component(3)
 
     def test_peer_access_defaults_all(self):
-        n = flat_node(3)
+        n = dgx_like_node(3)
         assert n.peer_accessible(0, 2)
         assert n.peer_accessible(1, 1)  # self
 
@@ -132,7 +134,7 @@ class TestGpuQueries:
         assert (m > 0).all()
 
     def test_summary_mentions_links(self):
-        s = flat_node(2).summary()
+        s = dgx_like_node(2).summary()
         assert "GPUs: 2" in s and "GB/s" in s
 
 

@@ -91,7 +91,8 @@ class TestSummitMachine:
     def test_dual_rail_network(self):
         m = summit_machine(2)
         assert m.network.nic_ports == 2
-        assert m.network.injection_bandwidth == pytest.approx(25e9)
+        assert m.network.nic_ports * m.network.nic_port_bandwidth == \
+            pytest.approx(25e9)
 
     def test_summary(self):
         s = summit_machine(2).summary()
