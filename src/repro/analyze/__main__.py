@@ -44,7 +44,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    paths = [Path(p) for p in args.paths] if args.paths else [Path("src")]
+    # Default: the repro package this module was imported from, wherever
+    # the command runs.
+    paths = ([Path(p) for p in args.paths] if args.paths
+             else [Path(__file__).parent.parent])
     report = lint_paths(paths, rules=args.rules)
     print(report.summary())
     return 0 if report.ok else 1
@@ -71,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     q = sub.add_parser("lint", help="run the determinism lint over sources")
     q.add_argument("paths", nargs="*", help="files or directories "
-                   "(default: src/)")
+                   "(default: the imported repro package)")
     q.add_argument("--rule", dest="rules", action="append", default=None,
                    help="restrict to one rule (repeatable)")
     q.set_defaults(func=_cmd_lint)

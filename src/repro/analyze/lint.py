@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.analyze lint            # lint src/ from the repo root
+    python -m repro.analyze lint            # lint the imported repro package
     python -m repro.analyze lint path …     # lint explicit files/trees
 
 Suppression is per line::
@@ -82,9 +82,19 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
 def lint_paths(paths: Sequence[Path],
                rules: Optional[Sequence[str]] = None,
                report: Optional[AnalysisReport] = None) -> AnalysisReport:
-    """Lint every ``.py`` file under ``paths`` into one report."""
+    """Lint every ``.py`` file under ``paths`` into one report.
+
+    A path that does not exist or holds no ``.py`` file is a finding: a
+    lint that checked nothing must not read as clean.
+    """
     if report is None:
         report = AnalysisReport()
+    for root in paths:
+        if not iter_python_files([root]):
+            why = "does not exist" if not root.exists() else "holds no .py file"
+            report.add(Finding(checker="lint", kind="nothing-to-lint",
+                               message=f"{root} {why}",
+                               subjects=(str(root),)))
     for path in iter_python_files(paths):
         try:
             source = path.read_text()

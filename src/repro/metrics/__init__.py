@@ -34,7 +34,7 @@ enabled, each event is a loop over an empty observer list.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cuda.memory import DeviceBuffer, PinnedBuffer
 from ..sim.engine import Observer
@@ -85,9 +85,11 @@ class Metrics(Observer):
 
     Constructing it subscribes it to ``engine.observers``: it turns the
     layers' events into series and keeps busy episodes in :attr:`busy`.
+    The per-op hooks look their series up in the registry once per label
+    set and keep them bound until :meth:`clear`.
     """
 
-    __slots__ = ("engine", "registry", "events", "busy")
+    __slots__ = ("engine", "registry", "events", "busy", "_bound")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -96,6 +98,8 @@ class Metrics(Observer):
         #: closed busy episodes per resource, flat as ``[s0, e0, s1, e1, ...]``
         #: (:func:`~repro.metrics.timeline.busy_intervals` pairs them up)
         self.busy: Dict["Resource", array] = {}
+        #: (hook, *labels) -> the registry series that hook updates
+        self._bound: Dict[tuple, object] = {}
         engine.observers.append(self)
 
     def resource_idle(self, resource: "Resource", start: float,
@@ -107,8 +111,12 @@ class Metrics(Observer):
 
     # -- cuda -------------------------------------------------------------------
     def api_call(self, context, what: str) -> None:
-        self.registry.counter("cuda.api.calls", op=what,
-                              lane=context.lane).inc()
+        key = ("api", what, context.lane)
+        counter = self._bound.get(key)
+        if counter is None:
+            counter = self._bound[key] = self.registry.counter(
+                "cuda.api.calls", op=what, lane=context.lane)
+        counter.inc()
 
     def stream_created(self, stream) -> None:
         self.registry.gauge("cuda.streams", device=stream.device.lane).add(1)
@@ -116,42 +124,71 @@ class Metrics(Observer):
     def device_op(self, task, op: str, reads, writes) -> None:
         if op == "wire":
             return  # MPI traffic is counted at match time
-        reg = self.registry
         kind, device, nbytes = task.kind, task.lane, task.bytes
-        event, count, total = _DEVICE_OP_SERIES[op]
-        reg.counter(count, kind=kind, device=device).inc()
-        reg.counter(total, kind=kind, device=device).inc(nbytes)
+        key = (op, kind, device)
+        series = self._bound.get(key)
+        if series is None:
+            event, count, total = _DEVICE_OP_SERIES[op]
+            series = self._bound[key] = (
+                event, self.registry.counter(count, kind=kind, device=device),
+                self.registry.counter(total, kind=kind, device=device))
+        event, count, total = series
+        count.inc()
+        total.inc(nbytes)
         if task.duration > 0 and nbytes:
-            rate = nbytes / task.duration
-            if op == "memcpy":
-                reg.histogram("cuda.memcpy.bytes_per_s", kind=kind).observe(rate)
-            elif kind in ("pack", "unpack"):
-                # Per-GPU pack/unpack throughput (the paper's Fig. 10 axis).
-                reg.histogram("cuda.pack.bytes_per_s", kind=kind,
-                              device=device).observe(rate)
+            # Bound on first use: a histogram never observed stays out of
+            # the snapshot.
+            key = ("rate", op, kind, device)
+            if key not in self._bound:
+                self._bound[key] = self._rate_histogram(op, kind, device)
+            hist = self._bound[key]
+            if hist is not None:
+                hist.observe(nbytes / task.duration)
         task.on_complete(lambda t: self.events.emit(
             event, kind=kind, device=device, op=t.name, bytes=nbytes,
             start=t.start_time, queue_wait=t.queue_wait))
 
+    def _rate_histogram(self, op: str, kind: str,
+                        device: str) -> Optional[Histogram]:
+        if op == "memcpy":
+            return self.registry.histogram("cuda.memcpy.bytes_per_s",
+                                           kind=kind)
+        if kind in ("pack", "unpack"):
+            # Per-GPU pack/unpack throughput (the paper's Fig. 10 axis).
+            return self.registry.histogram("cuda.pack.bytes_per_s",
+                                           kind=kind, device=device)
+        return None
+
     # -- mpi --------------------------------------------------------------------
     def mpi_queue_changed(self, rank, side: str, delta: int) -> None:
-        self.registry.gauge("mpi.queue_depth", side=side,
-                            rank=rank.index).add(delta)
+        key = ("queue", side, rank.index)
+        gauge = self._bound.get(key)
+        if gauge is None:
+            gauge = self._bound[key] = self.registry.gauge(
+                "mpi.queue_depth", side=side, rank=rank.index)
+        gauge.add(delta)
 
     def mpi_matched(self, send, recv, eager: bool) -> None:
-        reg = self.registry
         protocol = "eager" if eager else "rendezvous"
         scope = _scope(send.rank, recv.rank)
         buffer = _buffer_class(send.payload)
-        reg.counter("mpi.messages", protocol=protocol, scope=scope,
-                    buffer=buffer).inc()
-        reg.counter("mpi.bytes", protocol=protocol, scope=scope,
-                    buffer=buffer).inc(send.nbytes)
-        reg.histogram("mpi.message_bytes", protocol=protocol).observe(
-            send.nbytes)
+        key = ("match", protocol, scope, buffer)
+        series = self._bound.get(key)
+        if series is None:
+            reg = self.registry
+            series = self._bound[key] = (
+                reg.counter("mpi.messages", protocol=protocol, scope=scope,
+                            buffer=buffer),
+                reg.counter("mpi.bytes", protocol=protocol, scope=scope,
+                            buffer=buffer),
+                reg.histogram("mpi.message_bytes", protocol=protocol),
+                reg.histogram("mpi.match_latency_s", scope=scope))
+        messages, nbytes, sizes, latency = series
+        messages.inc()
+        nbytes.inc(send.nbytes)
+        sizes.observe(send.nbytes)
         # How long the first-posted side sat in the match queue.
-        reg.histogram("mpi.match_latency_s", scope=scope).observe(
-            self.engine.now - min(send.posted_at, recv.posted_at))
+        latency.observe(self.engine.now - min(send.posted_at, recv.posted_at))
         self.events.emit("mpi.match", send=send.request.label,
                          recv=recv.request.label, bytes=send.nbytes,
                          protocol=protocol, scope=scope)
@@ -198,6 +235,7 @@ class Metrics(Observer):
         """
         self.registry.clear()
         self.events.clear()
+        self._bound.clear()
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()

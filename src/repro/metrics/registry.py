@@ -127,17 +127,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], Metric] = {}
         self._kinds: Dict[str, str] = {}
-        #: ``(kind, name, labels as passed)`` -> metric, so a repeated
-        #: lookup skips the kind check and the sorted, stringified key.
-        #: Label values that compare equal must print alike (``1`` and
-        #: ``True`` would share an entry); the str and int labels do.
-        self._cache: Dict[tuple, Metric] = {}
 
     def _get(self, kind: str, name: str, labels: Dict[str, object]) -> Metric:
-        fast = (kind, name, tuple(labels.items()))
-        m = self._cache.get(fast)
-        if m is not None:
-            return m
         prev = self._kinds.setdefault(name, kind)
         if prev != kind:
             raise TypeError(
@@ -147,7 +138,6 @@ class MetricsRegistry:
         m = self._metrics.get(key)
         if m is None:
             m = self._metrics[key] = _KINDS[kind]()
-        self._cache[fast] = m
         return m
 
     def counter(self, name: str, **labels) -> Counter:
@@ -163,7 +153,6 @@ class MetricsRegistry:
         """Drop all metrics (e.g. between warm-up and measured rounds)."""
         self._metrics.clear()
         self._kinds.clear()
-        self._cache.clear()
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:

@@ -17,7 +17,7 @@ CLI), run the workload, then ``cluster.finalize()`` to collect the report::
 
 from .core import Sanitizer
 from .deadlock import explain_stuck
-from .hb import ClockTracker
+from .hb import HappensBefore
 from .mpi import MpiChecker
 from .races import RaceDetector
 from .report import Finding, SanitizerReport
@@ -26,7 +26,7 @@ __all__ = [
     "Sanitizer",
     "SanitizerReport",
     "Finding",
-    "ClockTracker",
+    "HappensBefore",
     "RaceDetector",
     "MpiChecker",
     "explain_stuck",

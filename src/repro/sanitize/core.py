@@ -14,11 +14,11 @@ observation stream, whose events feed three checkers behind one
   finding: the allocator raises regardless, and the finding keeps the
   evidence (label, virtual time) when a layer above catches the error.
 
-Every dependency edge waits in the clock tracker until its task starts,
-which computes the task's happens-before clock and checks its declared
-accesses; every run to quiescence is a global synchronization fence that
-resets the epoch and drops settled MPI requests, which bounds memory
-across arbitrarily many exchange rounds.
+Every dependency edge waits in the happens-before tracker until its task
+starts, which checks the task's declared accesses; every run to
+quiescence is a global synchronization fence that resets the epoch and
+drops settled MPI requests, which bounds memory across arbitrarily many
+exchange rounds.
 
 Call :meth:`finalize` (or ``cluster.finalize()``) at the end of a run to
 materialize end-of-job findings — unmatched messages and leaked requests.
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ..sim.engine import Observer
 from ..sim.tasks import Task
-from .hb import ClockTracker
+from .hb import HappensBefore
 from .mpi import MpiChecker
 from .races import RaceDetector
 from .report import Finding, SanitizerReport
@@ -52,16 +52,20 @@ class Sanitizer(Observer):
     def __init__(self, cluster: "SimCluster") -> None:
         self.cluster = cluster
         self.report = SanitizerReport()
-        self.hb = ClockTracker()
+        self.hb = HappensBefore()
         self.races = RaceDetector(self.hb, self.report)
-        self.mpi = MpiChecker(self.report)
+        self.mpi = MpiChecker(self.report, cluster.engine)
         self._finalized = False
+        # Hooks that only hand their event to one checker are that
+        # checker's bound method: no forwarding frame per event.
+        self.dep_added = self.hb.dep_added
+        self.device_op = self.races.annotate
+        self.mpi_matched = self.mpi.on_match
+        self.request_posted = self.mpi.register
+        self.request_waited = self.mpi.mark_wait
         cluster.engine.observers.append(self)
 
     # -- engine observer protocol ----------------------------------------------
-    def dep_added(self, task: Task, dep) -> None:
-        self.hb.dep_added(task, dep)
-
     def task_started(self, task: Task) -> None:
         self.hb.task_started(task)
         self.races.task_started(task)
@@ -73,18 +77,6 @@ class Sanitizer(Observer):
         self.mpi.reset_epoch()
 
     # -- semantic events ---------------------------------------------------------
-    def device_op(self, task: Task, op: str, reads, writes) -> None:
-        self.races.annotate(task, reads, writes)
-
-    def mpi_matched(self, send, recv, eager: bool) -> None:
-        self.mpi.on_match(send, recv, self.cluster.engine.now)
-
-    def request_posted(self, request, rank) -> None:
-        self.mpi.register(request, rank)
-
-    def request_waited(self, request, rank) -> None:
-        self.mpi.mark_wait(request, rank)
-
     def buffer_misused(self, buffer, misuse: str) -> None:
         self.report.add(Finding(
             checker="lifetime", kind=misuse,

@@ -33,13 +33,15 @@ from .report import Finding, SanitizerReport
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.request import Request
     from ..mpi.world import MpiWorld, Rank
+    from ..sim.engine import Engine
 
 
 class MpiChecker:
     """Request registry + match-time checks (see module doc)."""
 
-    def __init__(self, report: SanitizerReport) -> None:
+    def __init__(self, report: SanitizerReport, engine: "Engine") -> None:
         self.report = report
+        self.engine = engine
         self._requests: List[Tuple["Request", "Rank"]] = []
 
     # -- lifecycle -------------------------------------------------------------
@@ -63,8 +65,9 @@ class MpiChecker:
             r._completed and (r.waited or r.observed or r.signal.consumed))]
 
     # -- match-time checks -----------------------------------------------------
-    def on_match(self, send, recv, now: float) -> None:
-        """Check a matched pair of transport entries."""
+    def on_match(self, send, recv, eager: bool) -> None:
+        """The ``mpi_matched`` hook: check a matched pair of transport
+        entries."""
         if not (isinstance(send.payload, BUFFERS)
                 and isinstance(recv.payload, BUFFERS)):
             return  # object payloads have no declared capacity
@@ -78,7 +81,7 @@ class MpiChecker:
                 message=(f"matched message {s!r} carries {send.nbytes} B "
                          f"into receive {r!r} posted for {recv.capacity} B"),
                 subjects=(s, r),
-                time=now,
+                time=self.engine.now,
             ))
 
     # -- finalize --------------------------------------------------------------

@@ -15,21 +15,27 @@ subdomain-region accesses, byte ranges for flat buffers, with pinned-slice
 aliases resolved to (base allocation, offset).  Two accesses conflict only
 when their boxes actually intersect.
 
-History is pruned per exact box (last write + reads since), which stays
-bounded across exchange rounds because rounds reuse the same boxes, and is
-dropped entirely at each quiescence fence together with the HB epoch (see
+Each base buffer keeps a geometry map from every box it has seen to the
+known boxes that overlap it, built once per new box and kept across
+epochs, so a check visits only the history entries that can conflict, in
+the order they were first accessed this epoch.  The map stays small
+because rounds reuse the same boxes, and a freed buffer's map is dropped
+at the next fence.
+
+History is pruned per exact box (last write + reads since) and is dropped
+entirely at each quiescence fence together with the HB epoch (see
 :mod:`repro.sanitize.hb`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..cuda.memory import _BufferBase
 from ..core.halo import Region
 from ..sim.tasks import Task
-from .hb import ClockTracker
+from .hb import HappensBefore
 from .report import Finding, SanitizerReport
 
 #: an access target: a buffer (whole), (buffer, Region), or
@@ -80,28 +86,44 @@ def describe_box(box: Box) -> str:
             f"x[{box[5]}:{box[6]}]")
 
 
-@dataclass
-class _BoxHistory:
-    write: Optional[Task] = None
-    reads: List[Task] = field(default_factory=list)
+class _Box:
+    """One box of a base buffer: the known boxes overlapping it (kept
+    across epochs) and this epoch's accesses (last write + reads since)."""
+
+    __slots__ = ("box", "near", "seq", "write", "reads")
+
+    def __init__(self, box: Box) -> None:
+        self.box = box
+        self.near: Tuple["_Box", ...] = ()
+        #: order of the first access this epoch, -1 before it
+        self.seq = -1
+        self.write: Optional[Task] = None
+        self.reads: Tuple[Task, ...] = ()
+
+
+#: the boxes of a buffer not seen yet (shared, so never added to)
+_NO_BOXES: Dict[Box, _Box] = {}
 
 
 class RaceDetector:
     """Per-buffer access history + HB conflict checking (see module doc)."""
 
-    def __init__(self, hb: ClockTracker, report: SanitizerReport) -> None:
+    def __init__(self, hb: HappensBefore, report: SanitizerReport) -> None:
         self.hb = hb
         self.report = report
         self._pending: Dict[Task, List[Tuple[str, _BufferBase, Box]]] = {}
-        # id(base buffer) -> (buffer, {box: history}); keyed by id because
-        # buffers are plain objects, with the buffer kept alive alongside.
-        self._history: Dict[int, Tuple[_BufferBase, Dict[Box, _BoxHistory]]] = {}
+        #: base buffer -> its one box, or its boxes by box once it has two
+        #: (most buffers are only ever accessed whole)
+        self._boxes: Dict[_BufferBase, Union[_Box, Dict[Box, _Box]]] = {}
+        #: boxes accessed this epoch, in first-access order
+        self._touched: List[_Box] = []
         self._reported: set = set()
         self.accesses_checked = 0
 
     # -- annotation (at task creation) ----------------------------------------
-    def annotate(self, task: Task, reads: Iterable[AccessSpec] = (),
+    def annotate(self, task: Task, op: str, reads: Iterable[AccessSpec] = (),
                  writes: Iterable[AccessSpec] = ()) -> None:
+        """The ``device_op`` hook: record ``task``'s declared accesses."""
         if task.started:
             # Defensive: accesses must be declared before the task starts,
             # or the HB comparison window is lost.
@@ -131,37 +153,58 @@ class RaceDetector:
 
     def _check_task(self, task: Task,
                     specs: List[Tuple[str, _BufferBase, Box]]) -> None:
-        clock = self.hb.clock_of(task)
         for kind, base, box in specs:
             self.accesses_checked += 1
-            entry = self._history.get(id(base))
-            if entry is None:
-                entry = self._history[id(base)] = (base, {})
-            _, boxes = entry
-            for obox, hist in boxes.items():
-                if not _overlaps(box, obox):
-                    continue
-                if hist.write is not None and hist.write is not task:
-                    self._check_pair(base, hist.write, "w", obox,
-                                     task, kind, box, clock)
+            state = self._state(base, box)
+            seen = [o for o in state.near if o.seq >= 0]
+            if len(seen) > 1:
+                seen.sort(key=attrgetter("seq"))
+            for o in seen:
+                if o.write is not None and o.write is not task:
+                    self._check_pair(base, o.write, "w", o.box,
+                                     task, kind, box)
                 if kind == "w":
-                    for rd in hist.reads:
+                    for rd in o.reads:
                         if rd is not task:
-                            self._check_pair(base, rd, "r", obox,
-                                             task, "w", box, clock)
-            hist = boxes.get(box)
-            if hist is None:
-                hist = boxes[box] = _BoxHistory()
+                            self._check_pair(base, rd, "r", o.box,
+                                             task, "w", box)
+            if state.seq < 0:
+                state.seq = len(self._touched)
+                self._touched.append(state)
             if kind == "w":
-                hist.write = task
-                hist.reads = []
-            elif task not in hist.reads:
-                hist.reads.append(task)
+                state.write = task
+                state.reads = ()
+            elif task not in state.reads:
+                state.reads += (task,)
+
+    def _state(self, base: _BufferBase, box: Box) -> _Box:
+        """The record of ``box`` on ``base``.  A new box is linked to the
+        known boxes of ``base`` that overlap it."""
+        known = self._boxes.get(base, _NO_BOXES)
+        if known.__class__ is _Box:
+            if known.box == box:
+                return known
+            known = self._boxes[base] = {known.box: known}
+        elif box in known:
+            return known[box]
+        state = _Box(box)
+        near = [other for other in known.values()
+                if _overlaps(box, other.box)]
+        for other in near:
+            other.near += (state,)
+        if _overlaps(box, box):
+            near.append(state)
+        state.near = tuple(near)
+        if known:
+            known[box] = state
+        else:
+            self._boxes[base] = state
+        return state
 
     def _check_pair(self, buf: _BufferBase, prev: Task, prev_kind: str,
-                    prev_box: Box, cur: Task, cur_kind: str, cur_box: Box,
-                    cur_clock: int) -> None:
-        if self.hb.happens_before(prev, cur_clock):
+                    prev_box: Box, cur: Task, cur_kind: str,
+                    cur_box: Box) -> None:
+        if self.hb.happens_before(prev, cur):
             return
         key = (id(prev), id(cur), id(buf))
         if key in self._reported:
@@ -185,7 +228,14 @@ class RaceDetector:
 
     # -- epochs -----------------------------------------------------------------
     def reset_epoch(self) -> None:
-        """Drop history at a global quiescence fence (with the HB epoch)."""
+        """Drop history at a global quiescence fence (with the HB epoch),
+        and the boxes of buffers freed since the last fence."""
         self._pending.clear()
-        self._history.clear()
         self._reported.clear()
+        for state in self._touched:
+            state.seq = -1
+            state.write = None
+            state.reads = ()
+        self._touched.clear()
+        for buf in [b for b in self._boxes if b.freed]:
+            del self._boxes[buf]

@@ -2,6 +2,10 @@
 
 from pathlib import Path
 
+import pytest
+
+import repro
+import repro.analyze.__main__ as cli
 from repro.analyze.lint import (_rule_applies, iter_python_files, lint_paths,
                                 lint_source)
 from repro.analyze.rules import ALL_RULES, WallClock
@@ -139,6 +143,39 @@ def test_iter_python_files_expands_directories():
     files = iter_python_files([FIXTURES])
     assert len(files) == len(list(FIXTURES.glob("*.py")))
     assert files == sorted(files)
+
+
+# -- the CLI lints what it was given, from any directory ---------------------------
+
+def test_cli_default_lints_the_package_from_any_directory(tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    linted = []
+    real = cli.lint_paths
+
+    def spy(paths, rules=None):
+        linted.extend(iter_python_files(paths))
+        return real(paths, rules=rules)
+
+    monkeypatch.setattr(cli, "lint_paths", spy)
+    assert cli.main(["lint"]) == 0
+    assert "clean" in capsys.readouterr().out
+    assert Path(repro.__file__) in linted
+    assert len(linted) > 50
+
+
+@pytest.mark.parametrize("make, why", [
+    pytest.param(lambda tmp: tmp / "missing", "does not exist", id="missing"),
+    pytest.param(lambda tmp: (tmp / "empty").mkdir() or tmp / "empty",
+                 "holds no .py file", id="no-py-files"),
+])
+def test_cli_path_with_nothing_to_lint_fails(tmp_path, monkeypatch, capsys,
+                                             make, why):
+    monkeypatch.chdir(tmp_path)
+    path = make(tmp_path)
+    assert cli.main(["lint", path.name]) == 1
+    out = capsys.readouterr().out
+    assert "nothing-to-lint" in out and why in out
 
 
 # -- the repository itself must be lint-clean -------------------------------------

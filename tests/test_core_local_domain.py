@@ -115,6 +115,32 @@ class TestPackUnpack:
         with pytest.raises(CudaError):
             pack_action(d, reg, buf)()
 
+    def test_repeated_action_moves_current_data(self, dev):
+        # An action builds its views once; later runs see later values.
+        d1 = make_domain(dev, (4, 4, 4), radius=1, nq=1)
+        d2 = make_domain(dev, (4, 4, 4), radius=1, nq=1)
+        send = d1.send_region(Dim3(0, 0, 1))
+        recv = d2.recv_region(Dim3(0, 0, -1))
+        buf = dev.alloc(d1.region_nbytes(send))
+        pack, unpack = pack_action(d1, send, buf), unpack_action(d2, recv, buf)
+        for value in (1.0, 2.0):
+            d1.set_interior(0, np.full((4, 4, 4), value, np.float32))
+            pack()
+            unpack()
+            assert (d2.region_view(0, recv) == value).all()
+
+    @pytest.mark.expect_findings   # deliberate use-after-free
+    @pytest.mark.parametrize("make", [pack_action, unpack_action])
+    def test_use_after_free_raises_through_cached_action(self, dev, make):
+        d = make_domain(dev)
+        reg = d.send_region(Dim3(1, 0, 0))
+        buf = dev.alloc(d.region_nbytes(reg))
+        action = make(d, reg, buf)
+        action()                       # builds and keeps its views
+        buf.free()
+        with pytest.raises(CudaError, match="use-after-free"):
+            action()
+
     def test_symbolic_actions_are_noop(self):
         cluster = SimCluster.create(summit_machine(1), data_mode=False)
         d = make_domain(cluster.device(0))

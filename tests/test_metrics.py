@@ -92,8 +92,8 @@ class TestRegistry:
     def test_reordered_labels_return_the_same_series(self):
         r = MetricsRegistry()
         c = r.counter("x", a=1, b=2)
-        assert r.counter("x", a=1, b=2) is c  # cached hit
-        assert r.counter("x", b=2, a=1) is c  # miss on order, same series
+        assert r.counter("x", a=1, b=2) is c
+        assert r.counter("x", b=2, a=1) is c
 
     def test_kind_collision_after_a_cached_hit(self):
         r = MetricsRegistry()

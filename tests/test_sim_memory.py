@@ -10,10 +10,13 @@ dependency edges only while they are in flight.  While the round is live,
 each task keeps few GC-tracked containers alive, so the collections that
 allocation triggers have little to traverse.  With the tracer and the
 metrics bundle on, each observation record they keep costs bytes in
-packed rows rather than an object of its own.
+packed rows rather than an object of its own.  The sanitizer's
+happens-before tracker keeps a fixed number of bytes per task it has seen
+start, however many tasks the epoch holds.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -21,7 +24,8 @@ import pytest
 from repro.bench.config import parse_config
 from repro.bench.harness import build_domain
 from repro.metrics.timeline import busy_intervals
-from repro.sim import Engine, Task
+from repro.sanitize import Sanitizer
+from repro.sim import Engine, Signal, Task
 
 
 @pytest.mark.parametrize("sanitize,profile", [
@@ -119,3 +123,52 @@ def test_observation_records_cost_bytes_not_objects(monkeypatch):
     records = _observation_records(cluster) - before
     assert records > 10_000
     assert kept / records < 135
+
+
+def _held_bytes(tracker) -> int:
+    """Bytes of the containers and numbers ``tracker`` holds, not counting
+    the tasks and signals they refer to (those belong to the round)."""
+    total, seen, stack = 0, set(), [vars(tracker)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (Task, Signal)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def _tracker_bytes_per_task(config, monkeypatch):
+    """Bytes the happens-before tracker holds at the fence that ends one
+    sanitized symbolic round, per task started in that epoch."""
+    dd, _ = build_domain(parse_config(config), sanitize=True, metrics=False)
+    dd.exchange()
+    started = [0]
+    at_fence = []
+    start, fence = Sanitizer.task_started, Sanitizer.on_quiescence
+
+    def counted_start(self, task):
+        started[0] += 1
+        start(self, task)
+
+    def measured_fence(self):
+        at_fence.append((_held_bytes(self.hb), started[0]))
+        started[0] = 0
+        fence(self)
+
+    monkeypatch.setattr(Sanitizer, "task_started", counted_start)
+    monkeypatch.setattr(Sanitizer, "on_quiescence", measured_fence)
+    dd.exchange()
+    held, n = max(at_fence, key=lambda m: m[1])
+    assert n > 3000
+    return held / n
+
+
+def test_happens_before_bytes_per_task_flat_with_scale(monkeypatch):
+    # Bitset clocks, one bit per task of the epoch in every task's clock,
+    # held about 385 B per task at 2 nodes and 600 B at 4; the edge tuples
+    # the tracker keeps hold about 140 B at both.
+    two = _tracker_bytes_per_task("2n/6r/6g/1000", monkeypatch)
+    four = _tracker_bytes_per_task("4n/6r/6g/1000", monkeypatch)
+    assert four <= 1.15 * two, (two, four)
