@@ -213,7 +213,11 @@ def _metrics_paths(args, config_label: str):
 
 
 def _run_config(args) -> int:
-    """Profile one configuration string (``2n/6r/6g/512[/ca]``)."""
+    """Profile one configuration string (``2n/6r/6g/512[/ca]``).
+
+    Returns 1 when ``--sanitize`` found something, once every output is
+    printed and written; 0 otherwise.
+    """
     config = parse_config(args.experiment)
     caps = RUNGS[args.rung]
     run = profile_exchange_config(config, caps, reps=args.reps,
@@ -236,8 +240,8 @@ def _run_config(args) -> int:
     print(format_utilization(
         utilization_report(run.cluster,
                            extra=world_resources(run.dd.world))))
-    if args.sanitize:
-        report = run.cluster.finalize()
+    report = run.cluster.finalize() if args.sanitize else None
+    if report is not None:
         print()
         print(report.summary())
     if args.metrics:
@@ -276,7 +280,7 @@ def _run_config(args) -> int:
                                  extra=world_resources(run.dd.world))
             + "\n")
         print(f"wrote {trace_path} (open at https://ui.perfetto.dev)")
-    return 0
+    return 0 if report is None or report.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

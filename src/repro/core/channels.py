@@ -19,14 +19,14 @@ decided by its method's :class:`~repro.core.methods.MethodSpec`:
   the unpack behind the shared IPC event (device-side gating — the CPU does
   not wait).
 
-The tasks returned feed the per-rank completion joins that time the
-exchange.
+Each phase returns the task or signal that ends the channel's part of
+the round on that side, or ``None``; these feed the per-rank completion
+joins that time the exchange.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..dim3 import Dim3
 from ..errors import ConfigurationError
@@ -61,14 +61,6 @@ def channel_tag(src_linear_id: int, direction: Dim3) -> int:
     tags each edge with it, and each :class:`Channel` derives its own.
     """
     return src_linear_id * len(ALL_DIRECTIONS) + _DIR_INDEX[direction.as_tuple()]
-
-
-@dataclass
-class RoundOps:
-    """Tasks/signals a channel contributed to one exchange round."""
-
-    src_terminals: List[Dep] = field(default_factory=list)
-    dst_terminals: List[Dep] = field(default_factory=list)
 
 
 class Channel:
@@ -174,17 +166,17 @@ class Channel:
         self.setup_phase1()
 
     # -- one exchange round --------------------------------------------------------
-    def post_recv(self, ops: RoundOps) -> None:
+    def post_recv(self) -> Optional[Dep]:
         """Destination-side receive posting + gated finish ops."""
-        self.spec.post_recv(self, ops)
+        return self.spec.post_recv(self)
 
-    def enqueue_src(self, ops: RoundOps) -> None:
+    def enqueue_src(self) -> Optional[Dep]:
         """Source-side straight-line enqueues (+ gated MPI sends)."""
-        self.spec.enqueue_src(self, ops)
+        return self.spec.enqueue_src(self)
 
-    def enqueue_dst(self, ops: RoundOps) -> None:
+    def enqueue_dst(self) -> Optional[Dep]:
         """Destination-side straight-line enqueues."""
-        self.spec.enqueue_dst(self, ops)
+        return self.spec.enqueue_dst(self)
 
     # -- halo kernels ---------------------------------------------------------------
     # Each kernel's action is built on first use and reused every round;

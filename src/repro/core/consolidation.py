@@ -29,10 +29,11 @@ from typing import TYPE_CHECKING, List, Optional
 from ..errors import ConfigurationError
 from ..sim import Task
 from ..cuda.memory import PinnedBuffer
-from .channels import Channel, RoundOps
+from .channels import Channel
 from .methods import ExchangeMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..mpi.request import Request
     from ..mpi.world import Rank
 
 #: tag space for consolidated rank-pair messages (above channel tags)
@@ -71,7 +72,7 @@ class ConsolidatedGroup:
         self.pin_send: Optional[PinnedBuffer] = None
         self.pin_recv: Optional[PinnedBuffer] = None
         # Per-round state:
-        self.recv_gate = None           # Signal of this round's receive
+        self.recv_gate = None           # this round's receive request
         self._staged: List[Task] = []
 
     # -- setup -----------------------------------------------------------------
@@ -92,27 +93,26 @@ class ConsolidatedGroup:
             offset += ch.nbytes
 
     # -- one exchange round --------------------------------------------------------
-    def post_recv(self, ops: RoundOps) -> None:
+    def post_recv(self) -> None:
         """One receive for the whole rank-pair message."""
         rreq = self.dst_rank.irecv(self.pin_recv, self.src_rank.index,
                                    self.tag)
-        self.recv_gate = rreq.signal
+        self.recv_gate = rreq
         self._staged = []
 
     def add_staged(self, d2h: Task) -> None:
         """Called by members as they enqueue their staging copies."""
         self._staged.append(d2h)
 
-    def finish_src(self, ops: RoundOps) -> None:
-        """One send, gated on every member's staging copy."""
+    def finish_src(self) -> Request:
+        """One send, gated on every member's staging copy; returns it."""
         if len(self._staged) != len(self.members):
             raise ConfigurationError(
                 f"group {self.tag}: {len(self._staged)} staged of "
                 f"{len(self.members)} members — enqueue order broken")
-        sreq = self.src_rank.isend(self.pin_send, self.dst_rank.index,
+        return self.src_rank.isend(self.pin_send, self.dst_rank.index,
                                    self.tag, deps=list(self._staged),
                                    ordered=False)
-        ops.src_terminals.append(sreq.signal)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ConsolidatedGroup(r{self.src_rank.index}->"

@@ -32,7 +32,7 @@ from ..errors import DeadlockError, ExchangeTimeoutError
 from ..sim import Task
 from ..sim.profile import CriticalPathReport, DepRecorder, critical_path_report
 from ..sim.tasks import Dep
-from .channels import Channel, RoundOps
+from .channels import Channel
 from .consolidation import ConsolidatedGroup
 from .graph import MessageGraph, live_peer, message_graph
 from .methods import ExchangeMethod, select_method
@@ -267,15 +267,15 @@ class ExchangePlan:
             engine.observers.remove(recorder)
 
     def _stuck_detail(self, joins: Dict[int, Task],
-                      ops: List[RoundOps]) -> str:
+                      src_ends: List[Optional[Dep]],
+                      dst_ends: List[Optional[Dep]]) -> str:
         """Diagnostic suffix for a timed-out round: the stuck ranks, the
         channels whose terminals never completed, and unmatched messages."""
         stuck_ranks = [f"r{i}" for i, j in sorted(joins.items())
                        if not j.completed]
         stuck_channels = []
-        for ch, o in zip(self.channels, ops):
-            terminals = (*o.src_terminals, *o.dst_terminals)
-            if terminals and any(not d.completed for d in terminals):
+        for ch, *ends in zip(self.channels, src_ends, dst_ends):
+            if any(d is not None and not d.completed for d in ends):
                 stuck_channels.append(
                     f"ch{ch.tag}({ch.src.linear_id}->{ch.dst.linear_id} "
                     f"{ch.method.value})")
@@ -300,26 +300,27 @@ class ExchangePlan:
             self.replan_degraded()
         barrier_join = world.barrier()
 
-        ops: List[RoundOps] = [RoundOps() for _ in self.channels]
-        group_ops: List[RoundOps] = [RoundOps() for _ in self.groups]
-        for g, o in zip(self.groups, group_ops):
-            g.post_recv(o)      # consolidated receives first
-        for ch, o in zip(self.channels, ops):
-            ch.post_recv(o)
-        for ch, o in zip(self.channels, ops):
-            ch.enqueue_src(o)
-        for g, o in zip(self.groups, group_ops):
-            g.finish_src(o)     # one send per rank pair, after staging
-        for ch, o in zip(self.channels, ops):
-            ch.enqueue_dst(o)
+        # Each phase returns the task or signal that ends a channel's part
+        # of the round on that side (None where it has no work there).
+        for g in self.groups:
+            g.post_recv()       # consolidated receives first
+        dst_ends = [ch.post_recv() for ch in self.channels]
+        src_ends = [ch.enqueue_src() for ch in self.channels]
+        # One send per rank pair, after its members' staging copies.
+        group_ends = [g.finish_src() for g in self.groups]
+        for i, ch in enumerate(self.channels):
+            end = ch.enqueue_dst()
+            if end is not None:
+                dst_ends[i] = end
 
         rank_deps: Dict[int, List[Dep]] = defaultdict(list)
-        for ch, o in zip(self.channels, ops):
-            rank_deps[ch.src.rank.index].extend(o.src_terminals)
-            rank_deps[ch.dst.rank.index].extend(o.dst_terminals)
-        for g, o in zip(self.groups, group_ops):
-            rank_deps[g.src_rank.index].extend(o.src_terminals)
-            rank_deps[g.dst_rank.index].extend(o.dst_terminals)
+        for ch, src_end, dst_end in zip(self.channels, src_ends, dst_ends):
+            if src_end is not None:
+                rank_deps[ch.src.rank.index].append(src_end)
+            if dst_end is not None:
+                rank_deps[ch.dst.rank.index].append(dst_end)
+        for g, end in zip(self.groups, group_ends):
+            rank_deps[g.src_rank.index].append(end)
 
         if overlap_launcher is not None:
             for sub in dd.subdomains:
@@ -358,7 +359,8 @@ class ExchangePlan:
             # round-level) only knows a time was exceeded; the plan knows
             # which channels' terminals never completed.
             raise ExchangeTimeoutError(
-                str(exc) + self._stuck_detail(joins, ops)) from None
+                str(exc) + self._stuck_detail(joins, src_ends, dst_ends)
+            ) from None
         finally:
             if deadline_id is not None:
                 dd.cluster.engine.cancel(deadline_id)

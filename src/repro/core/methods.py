@@ -46,7 +46,8 @@ from .capabilities import Capabilities, Capability
 from .channels import SETUP_TAG_BASE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .channels import Channel, RoundOps
+    from ..sim.tasks import Dep
+    from .channels import Channel
 
 
 class ExchangeMethod(enum.Enum):
@@ -135,9 +136,11 @@ class MethodSpec:
     #: or None when the method sends no MPI message
     payload: Optional[str]
     setup: Callable[["Channel"], None]      #: streams, buffers, handshakes
-    enqueue_src: Callable[["Channel", "RoundOps"], None]
-    post_recv: Callable[["Channel", "RoundOps"], None] = _nothing
-    enqueue_dst: Callable[["Channel", "RoundOps"], None] = _nothing
+    #: each round phase returns the task or signal ending the channel's
+    #: part of the round on that side, or None
+    enqueue_src: Callable[["Channel"], Optional[Dep]]
+    post_recv: Callable[["Channel"], Optional[Dep]] = _nothing
+    enqueue_dst: Callable[["Channel"], Optional[Dep]] = _nothing
     #: after the setup-time engine run (opening received IPC handles)
     finish_setup: Callable[["Channel"], None] = _nothing
     #: whether the live capability a fault can revoke still holds
@@ -199,30 +202,30 @@ def _setup_staged(ch: "Channel") -> None:
 
 # -- one exchange round --------------------------------------------------------------
 
-def _kernel_src(ch: "Channel", ops: "RoundOps") -> None:
-    ops.src_terminals.append(ch.self_exchange_kernel())
+def _kernel_src(ch: "Channel") -> Dep:
+    return ch.self_exchange_kernel()
 
 
-def _direct_src(ch: "Channel", ops: "RoundOps") -> None:
-    ops.src_terminals.append(ch.direct_kernel())
+def _direct_src(ch: "Channel") -> Dep:
+    return ch.direct_kernel()
 
 
-def _peer_src(ch: "Channel", ops: "RoundOps") -> None:
+def _peer_src(ch: "Channel") -> Dep:
     ctx = ch.src.rank.ctx
     ch.pack_kernel()
     ctx.memcpy_peer_async(ch.recv_buf, ch.pack_buf, ch.s_src, what="peercpy")
     ctx.stream_wait_event(ch.s_dst, ctx.event_record(ch.s_src))
-    ops.src_terminals.append(ch.unpack_kernel())
+    return ch.unpack_kernel()
 
 
-def _colocated_src(ch: "Channel", ops: "RoundOps") -> None:
+def _colocated_src(ch: "Channel") -> Dep:
     ch.pack_kernel()
     ch.colo_copy = ch.src.rank.ctx.memcpy_peer_async(
         ch.remote_buf, ch.pack_buf, ch.s_src, what="colocpy")
-    ops.src_terminals.append(ch.colo_copy)
+    return ch.colo_copy
 
 
-def _colocated_dst(ch: "Channel", ops: "RoundOps") -> None:
+def _colocated_dst(ch: "Channel") -> Dep:
     # Cross-process synchronization through the shared IPC event: the
     # unpack may start only after the peer copy lands, plus a small
     # event-visibility cost.  The CPU does not wait.
@@ -231,26 +234,24 @@ def _colocated_dst(ch: "Channel", ops: "RoundOps") -> None:
                 duration=cluster.cost.ipc_event_sync_overhead,
                 deps=[ch.colo_copy], lane=ch.dst.device.lane, kind="sync")
     sync.submit()
-    ops.dst_terminals.append(ch.unpack_kernel(gate_deps=[sync]))
+    return ch.unpack_kernel(gate_deps=[sync])
 
 
-def _cuda_aware_recv(ch: "Channel", ops: "RoundOps") -> None:
+def _cuda_aware_recv(ch: "Channel") -> Dep:
     rreq = ch.dst.rank.irecv(ch.recv_buf, ch.src.rank.index, ch.tag)
-    ops.dst_terminals.append(
-        ch.unpack_kernel(deps=[rreq.signal], ordered=False))
+    return ch.unpack_kernel(deps=[rreq], ordered=False)
 
 
-def _cuda_aware_src(ch: "Channel", ops: "RoundOps") -> None:
+def _cuda_aware_src(ch: "Channel") -> Dep:
     pack = ch.pack_kernel()
-    sreq = ch.src.rank.isend(ch.pack_buf, ch.dst.rank.index, ch.tag,
+    return ch.src.rank.isend(ch.pack_buf, ch.dst.rank.index, ch.tag,
                              deps=[pack], ordered=False)
-    ops.src_terminals.append(sreq.signal)
 
 
-def _staged_recv(ch: "Channel", ops: "RoundOps") -> None:
+def _staged_recv(ch: "Channel") -> Dep:
     if ch.group is None:
         gate = ch.dst.rank.irecv(ch.pin_recv, ch.src.rank.index,
-                                 ch.tag).signal
+                                 ch.tag)
     else:
         # Consolidated: the group posted one receive for the whole
         # rank-pair message; finish ops gate on it.
@@ -259,21 +260,20 @@ def _staged_recv(ch: "Channel", ops: "RoundOps") -> None:
     # on the receive; the stream orders them on the device.
     ch.dst.rank.ctx.memcpy_async(ch.recv_buf, ch.pin_recv, ch.s_dst,
                                  what="h2d", deps=[gate], ordered=False)
-    ops.dst_terminals.append(ch.unpack_kernel(deps=[gate], ordered=False))
+    return ch.unpack_kernel(deps=[gate], ordered=False)
 
 
-def _staged_src(ch: "Channel", ops: "RoundOps") -> None:
+def _staged_src(ch: "Channel") -> Optional[Dep]:
     ch.pack_kernel()
     d2h = ch.src.rank.ctx.memcpy_async(ch.pin_send, ch.pack_buf, ch.s_src,
                                        what="d2h")
     if ch.group is None:
-        sreq = ch.src.rank.isend(ch.pin_send, ch.dst.rank.index, ch.tag,
+        return ch.src.rank.isend(ch.pin_send, ch.dst.rank.index, ch.tag,
                                  deps=[d2h], ordered=False)
-        ops.src_terminals.append(sreq.signal)
-    else:
-        # Consolidated: the single group send goes out once every
-        # member's staging copy has landed in the shared buffer.
-        ch.group.add_staged(d2h)
+    # Consolidated: the single group send goes out once every member's
+    # staging copy has landed in the shared buffer.
+    ch.group.add_staged(d2h)
+    return None
 
 
 # -- live capability probes ------------------------------------------------------------

@@ -221,7 +221,8 @@ class CudaContext:
             op_deps.append(stream.tail)
         t = Task(self.cluster.engine, name=self._label(what),
                  duration=duration, resources=resources, deps=op_deps,
-                 action=partial(dst.copy_from, src),
+                 # the unbound method: no bound method object per copy
+                 action=partial(type(dst).copy_from, dst, src),
                  lane=stream.device.lane, kind=kind, bytes=src.nbytes)
         stream.chain(t)
         for o in self.cluster.engine.observers:

@@ -45,9 +45,11 @@ class Dim3:
 
     # -- construction ------------------------------------------------------
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not isinstance(v, (int,)) or isinstance(v, bool):
+        x, y, z = self.x, self.y, self.z
+        if type(x) is int and type(y) is int and type(z) is int:
+            return
+        for name, v in (("x", x), ("y", y), ("z", z)):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"Dim3.{name} must be an int, got {v!r}")
 
     @classmethod

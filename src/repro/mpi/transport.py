@@ -58,7 +58,7 @@ class _SendEntry:
     inject: Optional[Task] = None     # eager: set once the payload is in flight
     posted_at: float = 0.0            # stamped when the transport takes it
 
-    def issued(self, _call: Task) -> None:
+    def __call__(self, _call: Task) -> None:
         """The ``Isend`` call ran: hand the send to the transport."""
         self.rank.world.transport.submit_send(self)
 
@@ -74,7 +74,7 @@ class _RecvEntry:
     issue: Task
     posted_at: float = 0.0            # stamped when the transport takes it
 
-    def issued(self, _call: Task) -> None:
+    def __call__(self, _call: Task) -> None:
         """The ``Irecv`` call ran: post the receive to the transport."""
         self.rank.world.transport.post_recv(self)
 

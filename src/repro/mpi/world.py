@@ -92,7 +92,8 @@ class Rank:
         entry = _SendEntry(request=req, rank=self, dest=dest, tag=tag,
                            payload=payload, nbytes=_payload_nbytes(payload),
                            issue=issue)
-        issue.on_complete(entry.issued)
+        # The entry is the callback itself: no bound method per message.
+        issue.on_complete(entry)
         return req
 
     def irecv(self, payload: Any, source: int, tag: int,
@@ -108,14 +109,14 @@ class Rank:
         capacity = payload.nbytes if isinstance(payload, BUFFERS) else 0
         entry = _RecvEntry(request=req, rank=self, source=source, tag=tag,
                            payload=payload, capacity=capacity, issue=issue)
-        issue.on_complete(entry.issued)
+        issue.on_complete(entry)
         return req
 
     def wait(self, request: Request) -> None:
         """``MPI_Wait``: block this rank's CPU until the request completes."""
         self.ctx.issue("Wait", cost=self.world.cluster.cost.mpi_call_overhead)
         self._mark_wait(request)
-        self.ctx.cpu_barrier_dep(request.signal)
+        self.ctx.cpu_barrier_dep(request)
 
     # -- helpers ------------------------------------------------------------------
     def _mark_wait(self, req: Request) -> None:

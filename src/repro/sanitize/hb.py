@@ -14,9 +14,10 @@ tasks depend on signals that have no source yet at creation time (e.g. a
 STAGED H2D gated on a receive that the wire transfer will later fire), and
 by start time every dependency is resolved.  :meth:`~HappensBefore.happens_before`
 walks back depth-first from the later task's edges.  A
-:class:`~repro.sim.tasks.Signal` resolves to the task that fired it
-(``Signal.source``), which is how happens-before flows through MPI request
-completion; a signal fired by hand has no source and carries no edge.
+:class:`~repro.sim.tasks.Signal` (an MPI request is one) resolves to the
+task that fired it (``Signal.source``), which is how happens-before flows
+through MPI request completion; a signal fired by hand has no source and
+carries no edge.
 
 Two facts bound the walk.  A task starts only after all its dependencies
 completed, and a signal fires when its source completes, so every task on
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..sim.tasks import Dep, Signal, Task
+from ..sim.tasks import Dep, Task
 
 
 class HappensBefore:
@@ -75,7 +76,7 @@ class HappensBefore:
         stack = [later]
         while stack:
             for dep in edges.get(stack.pop(), ()):
-                src = dep.source if dep.__class__ is Signal else dep
+                src = dep if dep.__class__ is Task else dep.source
                 if src is earlier:
                     return True
                 if src is None or src in seen or src.start_time < done:

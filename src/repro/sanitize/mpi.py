@@ -6,7 +6,7 @@ reports, as structured findings:
 * **leaked requests** — completed but never waited on *and* never used as a
   dependency.  In this event-driven model "waiting" is
   :meth:`repro.mpi.world.Rank.wait`, depending on
-  ``request.signal`` (how the exchange polling loop consumes completions),
+  the request itself (how the exchange polling loop consumes completions),
   or seeing ``request.completed`` return True (``MPI_Test``);
   a request whose completion nothing ever observed is the analogue of an
   ``MPI_Request`` handle dropped without ``MPI_Wait`` — legal-looking code
@@ -62,7 +62,7 @@ class MpiChecker:
     def reset_epoch(self) -> None:
         """Forget completed requests already consumed: they can never leak."""
         self._requests = [(r, k) for r, k in self._requests if not (
-            r._completed and (r.waited or r.observed or r.signal.consumed))]
+            r._completed and (r.waited or r.observed or r.consumed))]
 
     # -- match-time checks -----------------------------------------------------
     def on_match(self, send, recv, eager: bool) -> None:
@@ -101,7 +101,7 @@ class MpiChecker:
             # would itself mark the request observed.
             if not req._completed:
                 continue  # reported above as unmatched (or still in flight)
-            if req.waited or req.observed or req.signal.consumed:
+            if req.waited or req.observed or req.consumed:
                 continue
             self.report.add(Finding(
                 checker="mpi",

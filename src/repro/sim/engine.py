@@ -6,6 +6,13 @@ virtual times.  Determinism is guaranteed by breaking timestamp ties with a
 monotonically increasing sequence number, so two events at the same instant
 always fire in scheduling order.
 
+Events due at the current instant (a zero delay: every resource grant and
+every zero-duration finish) skip the heap and join a FIFO of the instant.
+Its entries all share the clock's time and arrive in sequence order, so
+the dispatch order stays the heap-only order: :meth:`Engine.run` takes
+whichever of the FIFO's head and the heap's head comes first by
+``(time, sequence)``.
+
 The engine also carries the simulation's one observation stream: every
 :class:`Observer` in :attr:`Engine.observers` hears each dependency edge,
 task start and finish, resource going idle and run to quiescence, plus
@@ -14,13 +21,16 @@ the semantic events the cuda, mpi, exchange and fault layers report.
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Callable, List, Optional, Tuple
+import itertools
+from collections import deque
+from heapq import heappop, heappush
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 
 Callback = Callable[[], None]
+
+_INF = float("inf")
 
 
 class Observer:
@@ -99,13 +109,16 @@ class Engine:
     [1.0, 2.0]
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_events_processed",
-                 "_cancelled", "max_events", "observers")
+    __slots__ = ("_now", "_heap", "_fifo", "_next_seq", "_running",
+                 "_events_processed", "_cancelled", "max_events", "observers")
 
     def __init__(self) -> None:
         self._now: float = 0.0
+        #: events after the current instant, as ``(when, seq, callback)``
         self._heap: List[Tuple[float, int, Callback]] = []
-        self._seq: int = 0
+        #: events at the current instant, as ``(seq, callback)`` in seq order
+        self._fifo: Deque[Tuple[int, Callback]] = deque()
+        self._next_seq = itertools.count().__next__
         self._running: bool = False
         self._events_processed: int = 0
         self._cancelled: set = set()
@@ -127,7 +140,8 @@ class Engine:
 
     @property
     def events_processed(self) -> int:
-        """Total number of callbacks dispatched so far (diagnostics)."""
+        """Total number of callbacks dispatched so far (diagnostics),
+        counted when a :meth:`run` call returns or raises."""
         return self._events_processed
 
     # -- scheduling -------------------------------------------------------------
@@ -138,9 +152,14 @@ class Engine:
         callback after all events already scheduled for the current instant.
         Returns an event id usable with :meth:`cancel`.
         """
-        if not (delay >= 0.0) or math.isinf(delay) or math.isnan(delay):
+        if not 0.0 <= delay < _INF:   # also false for NaN
             raise SimulationError(f"invalid delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback)
+        seq = self._next_seq()
+        if delay == 0.0:
+            self._fifo.append((seq, callback))
+        else:
+            heappush(self._heap, (self._now + delay, seq, callback))
+        return seq
 
     def schedule_at(self, when: float, callback: Callback) -> int:
         """Schedule ``callback`` at absolute virtual time ``when``.
@@ -151,16 +170,18 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past: when={when} < now={self._now}"
             )
-        seq = self._seq
-        heapq.heappush(self._heap, (when, seq, callback))
-        self._seq += 1
+        seq = self._next_seq()
+        if when == self._now:
+            self._fifo.append((seq, callback))
+        else:
+            heappush(self._heap, (when, seq, callback))
         return seq
 
     def cancel(self, event_id: int) -> None:
         """Cancel a scheduled event by the id ``schedule`` returned.
 
-        Cancelled events are lazily discarded when they reach the head of
-        the queue — *without* advancing the clock or counting toward the
+        Cancelled events are lazily discarded when they come up next —
+        *without* advancing the clock or counting toward the
         ``max_events`` cap.  This is how deadline/watchdog events (the
         fault layer's timeouts) avoid perturbing virtual time when the
         guarded operation completes early.  Cancelling an already-fired or
@@ -186,35 +207,64 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
         cap = max_events if max_events is not None else self.max_events
+        heap, fifo, cancelled = self._heap, self._fifo, self._cancelled
         dispatched = 0
         self._running = True
         try:
-            while self._heap:
-                when, seq, cb = self._heap[0]
-                if seq in self._cancelled:
+            while True:
+                # The next event is the first by (when, seq) of the FIFO's
+                # head, due now, and the heap's head, due now or later.
+                if fifo:
+                    when = self._now
+                    seq, cb = fifo[0]
+                    if heap:
+                        head = heap[0]
+                        from_heap = head[0] == when and head[1] < seq
+                        if from_heap:
+                            when, seq, cb = head
+                    else:
+                        from_heap = False
+                elif heap:
+                    when, seq, cb = heap[0]
+                    from_heap = True
+                else:
+                    break
+                if cancelled and seq in cancelled:
                     # Discard without advancing the clock: a cancelled
                     # deadline must leave no trace in virtual time.
-                    heapq.heappop(self._heap)
-                    self._cancelled.discard(seq)
+                    if from_heap:
+                        heappop(heap)
+                    else:
+                        fifo.popleft()
+                    cancelled.discard(seq)
                     continue
                 if until is not None and when > until:
+                    # The FIFO can hold events here only when ``until``
+                    # is before now: the clock leaves their instant, so
+                    # they move to the heap.
+                    while fifo:
+                        seq, cb = fifo.popleft()
+                        heappush(heap, (self._now, seq, cb))
                     self._now = until
                     break
                 if cap is not None and dispatched >= cap:
                     raise SimulationError(
                         f"Engine.run() dispatched {dispatched} events "
                         f"without quiescing (max_events={cap}); next: "
-                        f"t={when:.9f} with {len(self._heap)} queued — "
+                        f"t={when:.9f} with {len(heap) + len(fifo)} queued — "
                         f"likely a livelocked (self-rescheduling) callback")
-                heapq.heappop(self._heap)
-                self._now = when
-                self._events_processed += 1
+                if from_heap:
+                    heappop(heap)
+                    self._now = when
+                else:
+                    fifo.popleft()
                 dispatched += 1
                 cb()
         finally:
             self._running = False
-        if not self._heap:
-            self._cancelled.clear()
+            self._events_processed += dispatched
+        if not heap and not fifo:
+            cancelled.clear()
             # True quiescence: every scheduled effect has been applied, and
             # the (single) driving thread is about to observe that fact — a
             # global synchronization fence for happens-before purposes.

@@ -191,11 +191,13 @@ class AcquireRequest:
         if self.released:
             raise SimulationError(f"double release: {self.label}")
         self.released = True
-        engine = self.resources[0].engine if self.resources else None
+        parked = False
         for r in self.resources:
             r._vacate()
-        if engine is not None:
-            _wake_waiters(engine, self.resources)
+            if r._waiters:
+                parked = True
+        if parked:
+            _wake_waiters(self.resources[0].engine, self.resources)
 
 
 def acquire(engine: Engine, resources: Sequence[Resource],
@@ -208,13 +210,9 @@ def acquire(engine: Engine, resources: Sequence[Resource],
     is: resource sets are shared values, owned by whatever owns the
     resources (a rank's CPU, a device's engines, a node's routed paths).
     """
-    if len(resources) > 1:
-        # Deduplicate while preserving a deterministic order.
-        seen: Dict[int, Resource] = {}
-        for r in resources:
-            seen.setdefault(r._id, r)
-        if len(seen) < len(resources):
-            resources = tuple(seen.values())
+    if len(resources) > 1 and len(set(resources)) < len(resources):
+        # Deduplicate, keeping each resource's first position.
+        resources = tuple(dict.fromkeys(resources))
     req = AcquireRequest(resources, on_grant, label)
     req.request_time = engine._now
     for r in req.resources:

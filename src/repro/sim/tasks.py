@@ -12,10 +12,13 @@ an async memcpy, an MPI wire transfer, a CPU issue slice.  Tasks declare
 
 :class:`Signal` is a manually-fired dependency used for conditions that are
 not themselves operations (e.g. "a matching MPI receive has been posted").
+An MPI request is a :class:`Signal` subclass, so a request is itself the
+dependency; a dependency is a :class:`Task` or a signal of some class.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import SimulationError
@@ -23,6 +26,8 @@ from .engine import Engine
 from .resources import Resource, acquire
 
 Dep = Union["Task", "Signal"]
+
+_INF = float("inf")
 
 
 def _notify(dependents, engine: Engine) -> None:
@@ -108,7 +113,7 @@ class Task:
                  "lane", "kind", "bytes", "_remaining_deps",
                  "_dependents", "_callbacks", "submitted", "started",
                  "completed", "start_time", "completion_time", "_request",
-                 "eligible_time")
+                 "_blocked_on", "eligible_time")
 
     def __init__(self, engine: Engine, name: str, duration: float,
                  resources: Sequence[Resource] = (),
@@ -116,8 +121,9 @@ class Task:
                  action: Optional[Callable[[], None]] = None,
                  lane: str = "", kind: str = "",
                  bytes: int = 0) -> None:
-        if duration < 0:
-            raise SimulationError(f"negative duration for task {name}")
+        if not 0.0 <= duration < _INF:   # also false for NaN
+            raise SimulationError(
+                f"invalid duration {duration!r} for task {name}")
         self.engine = engine
         self.name = name
         self.duration = duration
@@ -128,15 +134,20 @@ class Task:
         self.bytes = bytes
         #: tasks waiting on this one (see :meth:`add_dep`)
         self._dependents: Union[None, Task, List[Task]] = None
-        #: completion callbacks, allocated on first use
-        self._callbacks: Optional[List[Callable[["Task"], None]]] = None
+        #: completion callbacks: ``None``, the one callback, or a list of
+        #: two or more (most tasks have none or one)
+        self._callbacks: Union[None, Callable[["Task"], None],
+                               List[Callable[["Task"], None]]] = None
         self.submitted = False
         self.started = False
         self.completed = False
         self.start_time: Optional[float] = None
         self.completion_time: Optional[float] = None
         self.eligible_time: Optional[float] = None
+        #: the acquire request, from eligibility until the finish releases
+        #: it; then only the resources it was blocked on are kept
         self._request = None
+        self._blocked_on: Sequence[Resource] = ()
         self._remaining_deps = 0
         for d in deps:
             self.add_dep(d)
@@ -153,7 +164,7 @@ class Task:
             raise SimulationError(f"add_dep after submit: {self.name}")
         if dep is None:
             return
-        if dep.__class__ is Signal:
+        if dep.__class__ is not Task:   # a Signal, or a subclass of it
             dep.consumed = True
         for o in self.engine.observers:
             o.dep_added(self, dep)
@@ -170,12 +181,15 @@ class Task:
 
     def on_complete(self, fn: Callable[["Task"], None]) -> None:
         """Register a completion callback (fires after ``action``)."""
+        callbacks = self._callbacks
         if self.completed:
             fn(self)
-        elif self._callbacks is None:
-            self._callbacks = [fn]
+        elif callbacks is None:
+            self._callbacks = fn
+        elif callbacks.__class__ is list:
+            callbacks.append(fn)
         else:
-            self._callbacks.append(fn)
+            self._callbacks = [callbacks, fn]
 
     # -- execution ---------------------------------------------------------------
     def submit(self) -> "Task":
@@ -184,20 +198,22 @@ class Task:
             raise SimulationError(f"task submitted twice: {self.name}")
         self.submitted = True
         if self._remaining_deps == 0:
-            self._acquire()
+            engine = self.engine
+            self.eligible_time = engine._now
+            self._request = acquire(engine, self.resources, self._start,
+                                    label=self.name)
         return self
 
     def _dep_completed(self, engine: Engine) -> None:
-        self._remaining_deps -= 1
-        if self._remaining_deps < 0:
+        remaining = self._remaining_deps - 1
+        self._remaining_deps = remaining
+        if remaining == 0:
+            if self.submitted:
+                self.eligible_time = engine._now
+                self._request = acquire(engine, self.resources, self._start,
+                                        label=self.name)
+        elif remaining < 0:
             raise SimulationError(f"dependency underflow in {self.name}")
-        if self.submitted and self._remaining_deps == 0:
-            self._acquire()
-
-    def _acquire(self) -> None:
-        self.eligible_time = self.engine._now
-        self._request = acquire(self.engine, self.resources, self._start,
-                                label=self.name)
 
     # -- profiling views ------------------------------------------------------
     @property
@@ -212,20 +228,28 @@ class Task:
     def blocked_resources(self) -> Sequence[Resource]:
         """The resources that were full when this task requested its set
         (empty if it never queued)."""
-        if self._request is None:
-            return ()
-        return self._request.blocked_on
+        request = self._request
+        return self._blocked_on if request is None else request.blocked_on
 
     def _start(self) -> None:
+        engine = self.engine
         self.started = True
-        self.start_time = self.engine._now
-        for o in self.engine.observers:
+        self.start_time = now = engine._now
+        for o in engine.observers:
             o.task_started(self)
-        self.engine.schedule(self.duration, self._finish)
+        # The duration was checked at construction, so the finish goes
+        # straight onto the engine's queues (see :meth:`Engine.schedule`).
+        if self.duration == 0.0:
+            engine._fifo.append((engine._next_seq(), self._finish))
+        else:
+            heappush(engine._heap,
+                     (now + self.duration, engine._next_seq(), self._finish))
 
     def _finish(self) -> None:
-        assert self._request is not None
-        self._request.release()
+        request, self._request = self._request, None
+        assert request is not None
+        request.release()
+        self._blocked_on = request.blocked_on
         self.completed = True
         self.completion_time = self.engine._now
         if self.action is not None:
@@ -234,8 +258,11 @@ class Task:
             o.task_finished(self)
         callbacks, self._callbacks = self._callbacks, None
         if callbacks is not None:
-            for cb in callbacks:
-                cb(self)
+            if callbacks.__class__ is list:
+                for cb in callbacks:
+                    cb(self)
+            else:
+                callbacks(self)
         dependents, self._dependents = self._dependents, None
         _notify(dependents, self.engine)
 

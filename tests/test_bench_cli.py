@@ -6,6 +6,8 @@ import pytest
 
 from repro.bench.__main__ import EXPERIMENTS, main
 from repro.bench.reporting import BENCH_SCHEMA
+from repro.findings import Finding
+from repro.sanitize import Sanitizer
 
 
 class TestCli:
@@ -92,6 +94,32 @@ class TestConfigRuns:
                      "--warmup", "0", "--trace", str(trace)]) == 0
         capsys.readouterr()
         assert "traceEvents" in json.loads(trace.read_text())
+
+    def test_sanitized_clean_run_exits_0(self, capsys):
+        assert main(["1n/2r/2g/128", "--sanitize", "--reps", "1",
+                     "--warmup", "0"]) == 0
+        assert "sanitizer: clean" in capsys.readouterr().out
+
+    @pytest.mark.expect_findings
+    def test_sanitized_run_with_findings_exits_1(self, tmp_path, capsys,
+                                                 monkeypatch):
+        finalize = Sanitizer.finalize
+
+        def with_finding(self):
+            report = finalize(self)
+            if not report.findings:
+                report.add(Finding(checker="mpi", kind="leaked-request",
+                                   message="planted for the exit-code test"))
+            return report
+
+        monkeypatch.setattr(Sanitizer, "finalize", with_finding)
+        json_path = tmp_path / "bench.json"
+        assert main(["1n/2r/2g/128", "--sanitize", "--reps", "1",
+                     "--warmup", "0", "--json", str(json_path)]) == 1
+        assert "planted for the exit-code test" in capsys.readouterr().out
+        # Every output is still written before the failing exit.
+        record = json.loads(json_path.read_text())
+        assert record["sanitizer"]["findings"]
 
     def test_rung_selects_capabilities(self, capsys):
         assert main(["2n/2r/2g/128", "--reps", "1", "--warmup", "0",

@@ -36,6 +36,24 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Dim3(True, 2, 3)
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 2, 3), "Dim3.x must be an int, got True"),
+        ((1, False, 3), "Dim3.y must be an int, got False"),
+        ((1, 2, 3.0), "Dim3.z must be an int, got 3.0"),
+        ((1, "2", 3), "Dim3.y must be an int, got '2'"),
+        ((1.5, None, 3), "Dim3.x must be an int, got 1.5"),
+    ])
+    def test_type_error_names_the_first_bad_component(self, args, message):
+        with pytest.raises(TypeError) as exc:
+            Dim3(*args)
+        assert str(exc.value) == message
+
+    def test_int_subclass_accepted(self):
+        class Count(int):
+            pass
+
+        assert Dim3(Count(2), 3, 4).volume == 24
+
     def test_zero_one(self):
         assert Dim3.zero() == Dim3(0, 0, 0)
         assert Dim3.one() == Dim3(1, 1, 1)

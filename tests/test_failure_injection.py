@@ -45,7 +45,7 @@ class TestDeadlockDetection:
                       if ch.method is ExchangeMethod.STAGED
                       and ch.nbytes > threshold)
         original = victim.post_recv
-        victim.post_recv = lambda ops: None  # drop the Irecv
+        victim.post_recv = lambda: None  # drop the Irecv
         try:
             with pytest.raises(DeadlockError) as exc:
                 dd.exchange()
@@ -119,7 +119,7 @@ class TestStateIntegrity:
                       if ch.method is ExchangeMethod.STAGED
                       and ch.nbytes > threshold)
         original = victim.post_recv
-        victim.post_recv = lambda ops: None
+        victim.post_recv = lambda: None
         try:
             with pytest.raises(DeadlockError):
                 dd.exchange()

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import repro.analyze
+from repro.bench.config import parse_config
+from repro.bench.harness import build_domain
 from repro.core.consolidation import ConsolidatedGroup
 from repro.core.exchange import ExchangePlan
 
@@ -51,3 +53,21 @@ def test_layer_tracer_restores_every_patched_attribute(layers):
         assert wrapped[key] is not old, f"{key} was not wrapped"
         assert getattr(*key) is old, f"{key} was not restored"
     assert set(PLAN_TARGETS) <= set(originals)
+
+
+def test_every_submitted_task_acquires_through_the_patched_name(layers):
+    # The tracer counts acquires by replacing ``repro.sim.tasks.acquire``;
+    # a task path that reached ``acquire`` under another name would escape
+    # the count.  Over one round every submitted task acquires once.
+    dd, _ = build_domain(parse_config("2n/2r/2g/128/ca"), sanitize=False,
+                         metrics=False)
+    dd.exchange()
+    tracer = layers.LayerTracer()
+    tracer.install()
+    try:
+        dd.exchange()
+    finally:
+        tracer.uninstall()
+    submits = tracer.counts["tasks.submits"]
+    assert submits > 100
+    assert tracer.counts["resources.acquires"] == submits

@@ -103,6 +103,23 @@ class TestDeadlockExplanation:
         msg = cluster.explain_stuck([t])
         assert "stuck-op" in msg and "never-fired" in msg
 
+    @pytest.mark.allow_unmatched
+    @pytest.mark.expect_findings
+    def test_unmatched_request_in_chain_prints_its_signal_name(self):
+        """A request is itself the dependency, and a chain that ends at an
+        unmatched receive names it as ``req<id>:<label>``."""
+        cluster = repro.SimCluster.create(summit_machine(1), sanitize=True)
+        w = repro.MpiWorld.create(cluster, 2)
+        req = w.ranks[1].irecv(w.ranks[1].alloc_pinned(8), 0, tag=5)
+        assert isinstance(req, Signal)
+        assert req.name == f"req{req.id}:r1<0.t5"
+        t = Task(cluster.engine, name="after-recv", duration=1.0,
+                 deps=[req]).submit()
+        cluster.run()
+        assert not t.completed and req.consumed
+        msg = cluster.explain_stuck([t])
+        assert f"signal 'req{req.id}:r1<0.t5' never fired" in msg
+
     def test_without_sanitizer_explanation_degrades(self):
         cluster = repro.SimCluster.create(summit_machine(1), sanitize=False)
         never = Signal("never-fired")

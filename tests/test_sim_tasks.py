@@ -64,6 +64,34 @@ class TestBasics:
         with pytest.raises(SimulationError):
             Task(Engine(), name="t", duration=-1.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_invalid_duration_rejected_at_construction(self, duration):
+        eng = Engine()
+        with pytest.raises(SimulationError, match="invalid duration"):
+            Task(eng, name="t", duration=duration)
+        assert eng.run() == 0.0 and eng.events_processed == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_completion_callbacks_run_in_registration_order(self, n):
+        eng = Engine()
+        t = make(eng, "t", 1.0)
+        seen = []
+        for i in range(n):
+            t.on_complete(lambda task, i=i: seen.append(i))
+        eng.run()
+        assert seen == list(range(n))
+
+    def test_zero_duration_finish_keeps_instant_order(self):
+        """A zero-duration task's finish joins the events already due at
+        its start instant, behind them."""
+        eng = Engine()
+        fired = []
+        t = make(eng, "t", 0.0)
+        t.on_complete(lambda task: fired.append("finish"))
+        eng.schedule(0.0, lambda: fired.append("queued"))
+        eng.run()
+        assert fired == ["queued", "finish"]
+
     def test_double_submit_rejected(self):
         eng = Engine()
         t = make(eng, "t", 1.0)
