@@ -1,39 +1,39 @@
-"""Shared plumbing for the reproduction benchmarks.
+"""Regenerate the paper's evaluation artifacts from the claims ledger.
 
-Each ``test_fig*`` / ``test_table*`` module regenerates one artifact from
-the paper's evaluation section: it runs the corresponding experiment on the
-simulated machine, prints the paper-style table, writes it to
-``benchmarks/results/``, and asserts the paper's qualitative claims (who
-wins, by roughly what factor, where crossovers fall).
+Every figure, table and ablation is one entry of
+:mod:`repro.bench.ledger`.  The ``verdicts`` session step computes each
+entry once, writes its table to ``results/<stem>.txt`` and the claim
+table to ``results/claims.md``, all before ``test_claims.py`` asserts a
+claim.
 
-Scale knob: the full paper runs out to 256 nodes (1536 GPUs), which the
-pure-Python simulator can do but slowly.  By default the sweeps stop at
-``REPRO_MAX_NODES`` (32); set the environment variable ``REPRO_FULL=1`` to
-run the complete 256-node sweeps.
+Scale: the scaling sweeps stop at 32 nodes.  ``REPRO_FULL=1`` runs them
+out to the paper's 256 nodes (1536 GPUs) and writes to ``results/full/``
+instead (the scaling tables and the full-scale claim table), so a full
+run never overwrites the default-scale files.
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
+from repro.bench import ledger
+
 RESULTS_DIR = Path(__file__).parent / "results"
-
-FULL = os.environ.get("REPRO_FULL", "") == "1"
-#: node counts used by the scaling sweeps
-NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128, 256) if FULL \
-    else (1, 2, 4, 8, 16, 32)
-
-
-def save_result(name: str, text: str) -> None:
-    """Print a reproduction table and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print(f"\n===== {name} =====")
-    print(text)
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def verdicts():
+    """Claim id → (measured, holds), once every results file is written."""
+    out_dir = RESULTS_DIR / "full" if ledger.FULL else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    verdicts = {}
+    for artifact in ledger.ARTIFACTS.values():
+        data = artifact.run()
+        if artifact.scaled or not ledger.FULL:
+            text = artifact.report(data)
+            (out_dir / f"{artifact.stem}.txt").write_text(text + "\n")
+            print(f"\n===== {artifact.stem} =====\n{text}")
+        verdicts.update(artifact.verdicts(data))
+    (out_dir / "claims.md").write_text(
+        ledger.claims_table(verdicts, ledger.NODES))
+    return verdicts

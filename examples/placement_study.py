@@ -59,7 +59,7 @@ def main() -> None:
         print(f"  {r.policy:<11} {r.exchange_s * 1e3:8.3f} ms   "
               f"({r.exchange_s / aware:.3f}x)")
     print("\npaper's Fig. 11 claim: trivial is ~1.20x slower; see "
-          "EXPERIMENTS.md for the recorded value.")
+          "benchmarks/results/claims.md for the recorded value.")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,14 @@ cube edge length / CUDA-aware flag.  :mod:`repro.bench.config` parses and
 formats those; :mod:`repro.bench.harness` builds the simulated machine and
 runs timed exchanges; :mod:`repro.bench.sweeps` packages the paper's
 figure-level experiments (capability ladders, weak/strong scaling,
-placement comparison); :mod:`repro.bench.reporting` renders the results as
-the text tables recorded in EXPERIMENTS.md.
+placement comparison); :mod:`repro.bench.reporting` renders text tables
+and the diffable bench JSON; :mod:`repro.bench.baselines` and
+:mod:`repro.bench.compare` keep the committed baseline records.
+
+:mod:`repro.bench.ledger` declares each paper figure, table and ablation
+once: how to compute it, its results-file table and its claims.  Both
+``pytest benchmarks`` and ``python -m repro.bench <figure>`` read it.  It is
+not imported here, so importing the harness stays light.
 """
 
 from .baselines import BASELINES, RUNGS, run_baseline, write_baselines

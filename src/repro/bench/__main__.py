@@ -7,6 +7,12 @@ Usage::
     python -m repro.bench fig12b --nodes 1 2 4 8
     python -m repro.bench all --out results/
 
+Each artifact is one entry of the claims ledger (:mod:`.ledger`): the
+command prints its results-file text, and ``--out DIR`` writes it to
+``DIR/<stem>.txt``, byte for byte what ``pytest benchmarks`` writes to
+``benchmarks/results/``.  The scaling sweeps default to the ledger's node
+list (``REPRO_FULL=1`` extends it to 256 nodes).
+
 Passing an experiment *configuration string* instead of a figure name
 profiles one exchange configuration end to end::
 
@@ -27,10 +33,7 @@ Two subcommands support the committed-baseline workflow::
 thresholded regression gate CI runs against them (nonzero exit on
 regression).
 
-Each figure experiment prints its paper-style table (and optionally writes
-it to ``--out``).  The pytest modules under ``benchmarks/`` run the same
-code and additionally *assert* the paper's claims; this CLI is the
-quick-look tool.
+``pytest benchmarks`` runs the same ledger and also asserts each claim.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from ..dim3 import Dim3
 from ..errors import ConfigurationError
 from ..sim.analysis import (
     format_utilization,
@@ -48,128 +50,17 @@ from ..sim.analysis import (
     utilization_report,
     world_resources,
 )
-from ..topology import summit_machine, summit_node
+from . import ledger
 from .baselines import RUNGS, baseline_main
 from .compare import compare_main
-from .config import BenchConfig, parse_config
-from .harness import build_domain, profile_exchange_config
+from .config import parse_config
+from .harness import profile_exchange_config
 from .reporting import (
     bench_filename,
     bench_record,
-    format_series,
     format_table,
     write_bench_json,
 )
-from .sweeps import (
-    capability_ladder,
-    placement_comparison,
-    strong_scaling,
-    weak_scaling,
-)
-
-
-def _fig03() -> str:
-    from ..radius import Radius
-    from ..core.halo import exchange_directions, send_region
-    from ..core.partition import BlockPartition
-
-    domain = Dim3(36, 36, 1)
-    radius = Radius(1, 1, 1, 1, 0, 0)
-    rows = []
-    for dims in (Dim3(2, 2, 1), Dim3(4, 1, 1), Dim3(3, 3, 1), Dim3(9, 1, 1)):
-        bp = BlockPartition(domain, dims)
-        dirs = exchange_directions(radius)
-        total = sum(send_region(bp.block_extent(i), radius, d).volume
-                    for i in bp.indices() for d in dirs)
-        rows.append((f"{dims.x}x{dims.y}", dims.volume, total))
-    return format_table(["partition", "subdomains", "V_d (points)"], rows,
-                        title="Fig. 3: communication volume vs partition")
-
-
-def _fig04() -> str:
-    from ..core.partition import HierarchicalPartition
-
-    hp = HierarchicalPartition(Dim3(4, 24, 2), 12, 4)
-    rows = [("node dims", str(hp.node_dims.as_tuple())),
-            ("gpu dims", str(hp.gpu_dims.as_tuple())),
-            ("combined", str(hp.global_dims.as_tuple()))]
-    return format_table(["quantity", "value"], rows,
-                        title="Fig. 4: 4x24x2 over 12 nodes x 4 GPUs")
-
-
-def _fig09() -> str:
-    from ..core.capabilities import Capability
-    from ..sim.trace import render_gantt
-
-    cfg = BenchConfig(1, 2, 4, 813)
-    dd, cluster = build_domain(cfg, Capability.all(), trace=True)
-    cluster.tracer.clear()
-    res = dd.exchange()
-    return (f"Fig. 9: exchange {res.elapsed * 1e3:.3f} ms, overlap factor "
-            f"{cluster.tracer.overlap_fraction():.2f}\n"
-            + render_gantt(cluster.tracer, width=110))
-
-
-def _table1() -> str:
-    from ..cuda import nvml
-
-    return (summit_machine(2).summary() + "\n\n"
-            + nvml.topology_report(summit_node()))
-
-
-def _fig11(_nodes: Optional[List[int]] = None) -> str:
-    rows = placement_comparison(
-        policies=("node_aware", "trivial", "random"), reps=2)
-    aware = rows[0].exchange_s
-    table = [(r.policy, f"{r.exchange_s * 1e3:.3f}",
-              f"{r.exchange_s / aware:.3f}x") for r in rows]
-    return format_table(["placement", "exchange (ms)", "vs node-aware"],
-                        table, title="Fig. 11: placement on 1440x1452x700")
-
-
-def _fig12a() -> str:
-    out = []
-    for ca in (False, True):
-        res = capability_ladder(nodes=1, ranks_list=(1, 2, 6),
-                                cuda_aware=ca, reps=1)
-        out.append(format_series(
-            res, "ranks", "caps",
-            title=f"Fig. 12a ({'with' if ca else 'no'} CUDA-aware)"))
-    return "\n\n".join(out)
-
-
-def _fig12b(nodes: List[int]) -> str:
-    res = weak_scaling(node_counts=nodes, rungs=("+remote", "+kernel"),
-                       reps=1)
-    return format_series(res, "nodes", "caps",
-                         title="Fig. 12b: weak scaling (no CUDA-aware)")
-
-
-def _fig12c(nodes: List[int]) -> str:
-    res = weak_scaling(node_counts=nodes, rungs=("+remote", "+kernel"),
-                       cuda_aware=True, reps=1)
-    return format_series(res, "nodes", "caps",
-                         title="Fig. 12c: weak scaling (CUDA-aware)")
-
-
-def _fig13(nodes: List[int]) -> str:
-    res = strong_scaling(node_counts=nodes, rungs=("+remote", "+kernel"),
-                         reps=1)
-    return format_series(res, "nodes", "caps",
-                         title="Fig. 13: strong scaling of 1363^3")
-
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig03": lambda args: _fig03(),
-    "fig04": lambda args: _fig04(),
-    "fig09": lambda args: _fig09(),
-    "table1": lambda args: _table1(),
-    "fig11": lambda args: _fig11(),
-    "fig12a": lambda args: _fig12a(),
-    "fig12b": lambda args: _fig12b(args.nodes),
-    "fig12c": lambda args: _fig12c(args.nodes),
-    "fig13": lambda args: _fig13(args.nodes),
-}
 
 
 def _resolve_json_path(args, config_label: str) -> Path:
@@ -302,8 +193,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="a figure name (see 'list'), 'all', or a "
                              "configuration string like 2n/6r/6g/512[/ca]")
     parser.add_argument("--nodes", type=int, nargs="+",
-                        default=[1, 2, 4, 8],
-                        help="node counts for the scaling sweeps")
+                        default=list(ledger.NODES),
+                        help="node counts for the scaling sweeps (default "
+                             "%(default)s)")
     parser.add_argument("--out", type=Path, default=None,
                         help="directory to also write outputs into")
     parser.add_argument("--profile", action="store_true",
@@ -341,11 +233,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for name in EXPERIMENTS:
+        for name in ledger.ARTIFACTS:
             print(name)
         return 0
 
-    if args.experiment not in EXPERIMENTS and args.experiment != "all":
+    if args.experiment not in ledger.ARTIFACTS and args.experiment != "all":
         try:
             parse_config(args.experiment)
         except ConfigurationError:
@@ -354,16 +246,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"name, 'all', or a Xn/Xr/Xg/NNNN[/ca] config string)")
         return _run_config(args)
 
-    names = list(EXPERIMENTS) if args.experiment == "all" \
+    names = list(ledger.ARTIFACTS) if args.experiment == "all" \
         else [args.experiment]
     for name in names:
-        text = EXPERIMENTS[name](args)
-        print(f"===== {name} =====")
-        print(text)
-        print()
+        artifact = ledger.ARTIFACTS[name]
+        text = artifact.report(artifact.run(args.nodes)) + "\n"
+        if len(names) > 1:
+            print(f"===== {artifact.stem} =====")
+        print(text, end="")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / f"{name}.txt").write_text(text + "\n")
+            (args.out / f"{artifact.stem}.txt").write_text(text)
     return 0
 
 

@@ -6,7 +6,7 @@ messages and increase[s] the message size — fewer, larger MPI messages tend
 to achieve better performance", while observing their own messages "may
 already be few enough and large enough".  This module implements the
 optimization so the trade-off can be measured (see
-``benchmarks/test_ablation_consolidation.py``).
+the ``ablation_consolidation`` entry of :mod:`repro.bench.ledger`).
 
 A :class:`ConsolidatedGroup` merges every STAGED channel between one
 (source rank, destination rank) pair into a single MPI message per

@@ -20,7 +20,7 @@ Costs and benefits are exactly as the paper says:
 * but the exchanged volume per message grows ~linearly in ``k`` while the
   *computed* volume grows too (the shrinking regions overlap the halos),
   so there is an optimum ``k`` — measured in
-  ``benchmarks/test_ablation_deep_halo.py``.
+  the ``ablation_deep_halo`` entry of :mod:`repro.bench.ledger`.
 
 Restricted to periodic boundaries: with Dirichlet ghosts the trapezoid
 would need boundary re-imposition between sub-steps.

@@ -1,13 +1,17 @@
 """Tests for the `python -m repro.bench` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import EXPERIMENTS, main
+from repro.bench import ledger
+from repro.bench.__main__ import main
 from repro.bench.reporting import BENCH_SCHEMA
 from repro.findings import Finding
 from repro.sanitize import Sanitizer
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestCli:
@@ -38,18 +42,29 @@ class TestCli:
 
     def test_out_directory(self, tmp_path, capsys):
         assert main(["fig04", "--out", str(tmp_path)]) == 0
-        written = (tmp_path / "fig04.txt").read_text()
+        written = (tmp_path / "fig04_decomposition.txt").read_text()
         assert "(2, 6, 1)" in written
+
+    @pytest.mark.parametrize("name", ["fig03", "fig04", "table1"])
+    def test_out_matches_committed_result(self, name, tmp_path, capsys):
+        stem = ledger.ARTIFACTS[name].stem
+        assert main([name, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (RESULTS / f"{stem}.txt").read_text()
+        assert (tmp_path / f"{stem}.txt").read_bytes() \
+            == (RESULTS / f"{stem}.txt").read_bytes()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
 
-    def test_every_registered_experiment_is_callable(self):
-        # Smoke: the registry stays in sync with the implementations.
-        assert set(EXPERIMENTS) == {
-            "fig03", "fig04", "fig09", "table1", "fig11",
-            "fig12a", "fig12b", "fig12c", "fig13"}
+    def test_every_registered_experiment_is_callable(self, capsys):
+        # `list` prints the ledger's entries, every paper figure among them.
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out.split() == list(ledger.ARTIFACTS)
+        assert {"fig03", "fig04", "fig09", "table1", "fig11", "fig12a",
+                "fig12b", "fig12c", "fig13"} <= set(ledger.ARTIFACTS)
+        for artifact in ledger.ARTIFACTS.values():
+            assert callable(artifact.compute) and callable(artifact.report)
 
 
 class TestConfigRuns:

@@ -193,6 +193,15 @@ class TestHierarchicalPartition:
         assert all(s.extent == Dim3(720, 484, 700) for s in subs)
         assert hp.gpu_dims == Dim3(2, 3, 1)
 
+    def test_paper_scale_decomposition(self):
+        """Fig. 12b's 256-node point: 8653^3 over 256 nodes x 6 GPUs."""
+        hp = HierarchicalPartition(Dim3(8653, 8653, 8653), 256, 6)
+        assert hp.node_dims == Dim3(8, 8, 4)
+        assert hp.gpu_dims == Dim3(2, 1, 3)
+        subs = list(hp.subdomains())
+        assert len(subs) == 1536
+        assert sum(s.extent.volume for s in subs) == 8653 ** 3
+
     def test_max_aspect_ratio(self):
         hp = HierarchicalPartition(Dim3(1440, 1452, 700), 1, 6)
         assert hp.max_aspect_ratio() == pytest.approx(720 / 484, rel=1e-6)
