@@ -1,10 +1,5 @@
-from setuptools import setup, find_packages
+# Metadata and dependencies live in pyproject.toml; this file only keeps
+# `python setup.py develop` working where the `wheel` package is missing.
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
-)
+setup()

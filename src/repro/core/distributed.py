@@ -36,6 +36,7 @@ from ..dim3 import Dim3
 from ..errors import AnalysisError, ConfigurationError
 from ..mpi.world import MpiWorld, Rank
 from ..radius import Radius
+from ..sim.gcpause import cyclic_gc_paused
 from ..cuda.device import Device
 from .capabilities import Capabilities, Capability
 from .exchange import ExchangePlan, ExchangeResult, OverlapLauncher
@@ -141,8 +142,10 @@ class DistributedDomain:
         self._realized = False
 
     # -- setup ----------------------------------------------------------------------
+    @cyclic_gc_paused()
     def realize(self) -> "DistributedDomain":
-        """Run the three-phase setup and allocate all device state."""
+        """Run the three-phase setup and allocate all device state, with the
+        cyclic collector paused."""
         if self._realized:
             return self
         machine = self.cluster.machine

@@ -30,6 +30,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
 from ..dim3 import Dim3
 from ..errors import DeadlockError, ExchangeTimeoutError
 from ..sim import Task
+from ..sim.gcpause import cyclic_gc_paused
 from ..sim.profile import CriticalPathReport, DepRecorder, critical_path_report
 from ..sim.tasks import Dep
 from .channels import Channel
@@ -246,9 +247,11 @@ class ExchangePlan:
         return demotions
 
     # -- one measured round ------------------------------------------------------------
+    @cyclic_gc_paused()
     def run_exchange(self, overlap_launcher: Optional[OverlapLauncher] = None,
                      profile: bool = False) -> ExchangeResult:
-        """Execute one barrier-timed halo exchange to completion.
+        """Execute one barrier-timed halo exchange to completion, with the
+        cyclic collector paused.
 
         With ``profile=True`` a :class:`DepRecorder` keeps the round's
         dependency edges and the result carries an :class:`ExchangeProfile`:

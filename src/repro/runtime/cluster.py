@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..sim import Engine, Resource, Tracer
+from ..sim.gcpause import cyclic_gc_paused
 from ..topology.machine import Machine
 from .costmodel import CostModel
 
@@ -237,8 +238,10 @@ class SimCluster:
     def now(self) -> float:
         return self.engine.now
 
+    @cyclic_gc_paused()
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queue; returns the final virtual time."""
+        """Drain the event queue, with the cyclic collector paused; returns
+        the final virtual time."""
         return self.engine.run(until)
 
     def explain_stuck(self, stuck) -> str:

@@ -1,12 +1,16 @@
-"""A simulated round leaves no reference cycles, memory stays flat, and
-the round's DAG is lean.
+"""Set-up and simulated rounds leave no reference cycles, memory stays
+flat, and the round's DAG is lean.
 
 Every object a round creates (tasks, signals, acquire requests, MPI
 requests) must be freed by reference counting alone once the round is
 over, so the cyclic garbage collector finds nothing to collect and the
 number of live objects does not grow from round to round — also with the
 sanitizer or the critical-path profile observing, since both keep
-dependency edges only while they are in flight.  While the round is live,
+dependency edges only while they are in flight.  The same holds for
+``realize()``, for rounds with every optional layer and a fault plan on,
+and for a solver's overlapped step.  This contract is what lets set-up,
+rounds and a solver's drain run with the collector paused
+(``tests/test_sim_gcpause.py``).  While the round is live,
 each task keeps few GC-tracked containers alive, so the collections that
 allocation triggers have little to traverse.  With the tracer and the
 metrics bundle on, each observation record they keep costs bytes in
@@ -19,13 +23,34 @@ import gc
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.bench.config import parse_config
 from repro.bench.harness import build_domain
+from repro.core.capabilities import Capability
 from repro.metrics.timeline import busy_intervals
 from repro.sanitize import Sanitizer
 from repro.sim import Engine, Signal, Task
+from repro.sim.gcpause import cyclic_gc_paused
+from repro.stencils.jacobi import JacobiHeat
+
+#: every optional layer, and a recoverable plan: ~1% of sends dropped,
+#: each re-sent
+CHECKED_LAYERS = dict(
+    capabilities=Capability.all_plus_direct(), data_mode=True, trace=True,
+    metrics=True, sanitize=True, precheck=True,
+    faults={"seed": 1, "max_retries": 6,
+            "faults": [{"kind": "drop", "match": "s", "probability": 0.01,
+                        "max_times": 1000}]})
+
+#: the Fig. 12b 16-node point and the Fig. 12a single node, symbolic; and
+#: 2-node data mode with every optional layer on
+SETUPS = {
+    "weak16": ("16n/6r/6g/3434", {}),
+    "node1": ("1n/2r/6g/930", {}),
+    "checked": ("2n/2r/6g/96/ca", CHECKED_LAYERS),
+}
 
 
 @pytest.mark.parametrize("sanitize,profile", [
@@ -39,9 +64,7 @@ def test_rounds_leave_no_cycles_and_flat_memory(sanitize, profile):
                          metrics=False)
     dd.exchange(profile=profile)   # warm-up: set-up objects, first caches
     gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with cyclic_gc_paused():
         dd.exchange(profile=profile)
         assert gc.collect() == 0, "a round left cyclic garbage"
         live_round2 = len(gc.get_objects())
@@ -49,10 +72,55 @@ def test_rounds_leave_no_cycles_and_flat_memory(sanitize, profile):
             dd.exchange(profile=profile)
         assert gc.collect() == 0
         live_round20 = len(gc.get_objects())
-    finally:
-        if was_enabled:
-            gc.enable()
     assert abs(live_round20 - live_round2) <= 0.01 * live_round2
+
+
+def _collector_off_finds_nothing(work) -> None:
+    """Run ``work()`` with the cyclic collector off, then check that a
+    collection finds no unreachable object."""
+    gc.collect()
+    with cyclic_gc_paused():
+        work()
+        assert gc.collect() == 0, "cyclic garbage left behind"
+
+
+@pytest.mark.parametrize("name", SETUPS)
+def test_setup_leaves_no_cycles(name):
+    # realize() runs with the collector paused: partition, placement,
+    # plan, precheck and setup() must leave nothing only it could free.
+    config, layers = SETUPS[name]
+    built = []   # kept alive: the domain and cluster hold live cycles
+    _collector_off_finds_nothing(
+        lambda: built.append(build_domain(parse_config(config), **layers)))
+
+
+def test_checked_rounds_leave_no_cycles():
+    # Trace, metrics, sanitizer, precheck and dropped-then-resent sends.
+    dd, cluster = build_domain(parse_config(SETUPS["checked"][0]),
+                               **CHECKED_LAYERS)
+    dd.exchange()
+
+    def rounds():
+        for _ in range(3):
+            dd.exchange()
+
+    _collector_off_finds_nothing(rounds)
+    assert cluster.faults.counters["faults_injected"] > 0
+
+
+def test_overlapped_jacobi_steps_leave_no_cycles():
+    # The solver drains its kernels with cluster.run() after the exchange.
+    dd, _ = build_domain(parse_config(SETUPS["checked"][0]), **CHECKED_LAYERS)
+    rng = np.random.default_rng(0)
+    dd.set_global(0, rng.random(dd.size.as_zyx(), dtype=np.float32))
+    heat = JacobiHeat(dd, alpha=0.1)
+    heat.step(overlap=True)
+
+    def steps():
+        for _ in range(3):
+            heat.step(overlap=True)
+
+    _collector_off_finds_nothing(steps)
 
 
 def test_round_dag_holds_few_containers_per_task(monkeypatch):
@@ -80,16 +148,11 @@ def test_round_dag_holds_few_containers_per_task(monkeypatch):
         return run(self, *args, **kwargs)
 
     gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with cyclic_gc_paused():
         monkeypatch.setattr(Task, "__init__", counting_init)
         monkeypatch.setattr(Engine, "run", census_run)
         before = len(gc.get_objects())
         dd.exchange()
-    finally:
-        if was_enabled:
-            gc.enable()
     live, tasks = at_run[0]
     assert tasks > 500
     assert (live - before) / tasks <= 3.0
